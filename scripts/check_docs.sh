@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check_docs.sh — the doc-truth linter: docs/ and README.md may only
-# name things that exist in the tree.  Three checks:
+# name things that exist in the tree, and production code may not call the
+# serial oracles.  Four checks:
 #
 #   1. env knobs, both directions.  Every `NWHY_*` token in the docs must be
 #      read somewhere (a quoted "NWHY_*" string in src/tools/bench/tests/
@@ -19,20 +20,46 @@
 #   3. nwhy_tool subcommands, docs -> dispatch.  Every `nwhy_tool <word>`
 #      mention must have a matching `cmd == "<word>"` branch in
 #      tools/nwhy_tool.cpp.
+#   4. the serial oracles stay out of production (full run only).  No file
+#      under src/ may include a ref/ header by any path ("nwhy/ref/...",
+#      "ref/...", "../ref/..."), include the umbrella nwhy.hpp (which
+#      re-exports ref/), or call into ref:: — except the oracles themselves
+#      (src/nwhy/ref/) and the umbrella src/nwhy.hpp, which re-exports them
+#      for tests and benchmark oracle checks.  Comment-only lines are
+#      skipped.
 #
 # Usage:
 #   scripts/check_docs.sh                 lint docs/*.md + README.md (both
 #                                         knob directions)
 #   scripts/check_docs.sh <file>...       lint only the given files
 #                                         (docs->source directions only)
-#   scripts/check_docs.sh --self-test     negative test: a synthetic doc
-#                                         citing a nonexistent knob must be
-#                                         rejected, and the rejection must
-#                                         name the knob
+#   scripts/check_docs.sh --self-test     negative tests: a synthetic doc
+#                                         citing a nonexistent knob, and a
+#                                         synthetic source tree calling an
+#                                         oracle, must both be rejected, and
+#                                         each rejection must name the
+#                                         culprit
 #
 # Exit status: 0 clean, 1 any drift.  Runs from any cwd; needs only grep.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Check 4 on the source tree rooted at $1: prints every production line
+# that includes a ref/ header or the umbrella nwhy.hpp, or calls ref::, and
+# fails if there is one.
+ref_lint() {
+  local root=${1%/} hits
+  local inc='#[[:space:]]*include[[:space:]]*[<"]([^">]*/)?'
+  hits=$(grep -rnE --include='*.hpp' --include='*.cpp' --include='*.h' --include='*.c' \
+    "${inc}ref/[^\">]*[\">]|${inc}nwhy\.hpp[\">]|(^|[^A-Za-z0-9_])ref::" "$root" \
+    | grep -vE "^$root/nwhy/ref/|^$root/nwhy\.hpp:" \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+  [[ -z "$hits" ]] && return 0
+  while IFS= read -r line; do
+    echo "check_docs.sh: production code reaches a serial oracle (nwhy/ref/ is for tests): $line" >&2
+  done <<<"$hits"
+  return 1
+}
 
 if [[ "${1:-}" == "--self-test" ]]; then
   TMP=$(mktemp -d)
@@ -48,7 +75,41 @@ if [[ "${1:-}" == "--self-test" ]]; then
     cat "$TMP/out" >&2
     exit 1
   fi
-  echo "check_docs.sh: self-test OK (doc with a nonexistent knob rejected)"
+  # A production header calling an oracle must be rejected by name; the
+  # oracle directory, the umbrella header and comments must not be.
+  mkdir -p "$TMP/src/nwhy/ref" "$TMP/src/nwhy/algorithms"
+  printf '#include "nwhy/ref/ref.hpp"\n' >"$TMP/src/nwhy.hpp"
+  printf 'inline int twin() { return ref::helper(); }\n' >"$TMP/src/nwhy/ref/oracle.hpp"
+  printf '// see ref::toplexes\ninline int ok() { return 0; }\n' >"$TMP/src/nwhy/algorithms/clean.hpp"
+  printf '#include "nwhy/slinegraph/pref/x.hpp"\n' >"$TMP/src/nwhy/algorithms/prefix.hpp"
+  if ! ref_lint "$TMP/src" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — an oracle-free tree was rejected" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  # Each way into the oracles — a ref:: call, a relative ref/ include, the
+  # umbrella — must be rejected on its own, naming the file.
+  cases=(
+    'bad_call.hpp|inline auto answer() { return nw::hypergraph::ref::toplexes(h); }'
+    'bad_rel.hpp|#include "../ref/incidence.hpp"'
+    'bad_umbrella.hpp|#include <nwhy.hpp>'
+  )
+  for c in "${cases[@]}"; do
+    name=${c%%|*}
+    printf '%s\n' "${c#*|}" >"$TMP/src/nwhy/algorithms/$name"
+    if ref_lint "$TMP/src" >"$TMP/out" 2>&1; then
+      echo "check_docs.sh: self-test FAILED — $name passed the oracle lint" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    if ! grep -q "$name" "$TMP/out"; then
+      echo "check_docs.sh: self-test FAILED — rejection did not name $name" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    rm "$TMP/src/nwhy/algorithms/$name"
+  done
+  echo "check_docs.sh: self-test OK (nonexistent knob and production oracle use rejected)"
   exit 0
 fi
 
@@ -147,6 +208,12 @@ for cmd in $DOC_CMDS; do
     err "documented subcommand 'nwhy_tool $cmd' has no cmd == \"$cmd\" dispatch branch"
   fi
 done
+
+# --- check 4: the serial oracles stay out of production --------------------
+
+if [[ "$FULL" == 1 ]]; then
+  ref_lint src || FAIL=1
+fi
 
 if [[ "$FAIL" != 0 ]]; then
   echo "check_docs.sh: FAILED — docs and source disagree (see above)" >&2

@@ -64,6 +64,9 @@ case "$MODE" in
     # pulls) and the per-wedge census with per-thread counters.
     "$BUILD"/tests/test_betweenness
     "$BUILD"/tests/test_motif
+    # The nwgraph substrate, for the afforest stress test: concurrent
+    # find_root path compression at 4 threads.
+    "$BUILD"/tests/test_graph_algorithms
     ;;
   ubsan)
     BUILD=${2:-build-ubsan}

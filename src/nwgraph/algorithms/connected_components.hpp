@@ -62,15 +62,19 @@ std::vector<vertex_id_t> cc_label_propagation(const Graph& g) {
 
 namespace detail {
 
-/// Pointer-jumping find with path compression (benign races: labels only
-/// ever decrease toward the root).
+/// Pointer-jumping find with path compression.  Every pointer satisfies
+/// comp[v] <= v and only ever decreases: linking hangs the larger root
+/// under the smaller, and compression lowers a pointer with write_min and
+/// stops once the walk drops to `root` or below.  A concurrent link may
+/// hang `root` under a smaller root and compress our path past it first;
+/// storing the stale, larger `root` there would raise a pointer and could
+/// close a cycle that every later find spins on.
 inline vertex_id_t find_root(std::vector<vertex_id_t>& comp, vertex_id_t v) {
   vertex_id_t root = v;
   while (atomic_load(comp[root]) != root) root = atomic_load(comp[root]);
-  // Compress the path we walked.
-  while (v != root) {
+  while (v > root) {
     vertex_id_t next = atomic_load(comp[v]);
-    atomic_store(comp[v], root);
+    write_min(comp[v], root);
     v = next;
   }
   return root;
@@ -89,10 +93,15 @@ inline void link_roots(std::vector<vertex_id_t>& comp, vertex_id_t u, vertex_id_
   }
 }
 
-/// Flatten so every vertex points directly at its root.
+/// Flatten so every vertex points directly at its root.  Other threads
+/// shorten the same chains concurrently, hence the atomic slot accesses.
 inline void compress_all(std::vector<vertex_id_t>& comp) {
   par::parallel_for(0, comp.size(), [&](std::size_t v) {
-    while (comp[v] != comp[comp[v]]) comp[v] = comp[comp[v]];
+    vertex_id_t p = atomic_load(comp[v]);
+    for (vertex_id_t gp = atomic_load(comp[p]); p != gp; gp = atomic_load(comp[p])) {
+      p = gp;
+      atomic_store(comp[v], p);
+    }
   });
 }
 

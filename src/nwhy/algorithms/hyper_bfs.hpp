@@ -147,7 +147,7 @@ hyper_bfs_result hyper_bfs_top_down(const EGraph& hyperedges, const NGraph& hype
   r.parents_node.assign(hypernodes.size(), null_vertex<>);
   r.dist_edge.assign(hyperedges.size(), null_vertex<>);
   r.dist_node.assign(hypernodes.size(), null_vertex<>);
-  if (hyperedges.size() == 0) return r;
+  if (source >= hyperedges.size()) return r;
 
   NWOBS_SCOPE_TIMER("hyper_bfs_top_down");
   r.parents_edge[source] = source;
@@ -177,7 +177,7 @@ hyper_bfs_result hyper_bfs_bottom_up(const EGraph& hyperedges, const NGraph& hyp
   r.parents_node.assign(hypernodes.size(), null_vertex<>);
   r.dist_edge.assign(hyperedges.size(), null_vertex<>);
   r.dist_node.assign(hypernodes.size(), null_vertex<>);
-  if (hyperedges.size() == 0) return r;
+  if (source >= hyperedges.size()) return r;
 
   NWOBS_SCOPE_TIMER("hyper_bfs_bottom_up");
   r.parents_edge[source] = source;
@@ -238,7 +238,7 @@ hyper_bfs_result hyper_bfs(const EGraph& hyperedges, const NGraph& hypernodes,
   r.parents_node.assign(hypernodes.size(), null_vertex<>);
   r.dist_edge.assign(hyperedges.size(), null_vertex<>);
   r.dist_node.assign(hypernodes.size(), null_vertex<>);
-  if (hyperedges.size() == 0) return r;
+  if (source >= hyperedges.size()) return r;
 
   NWOBS_SCOPE_TIMER("hyper_bfs");
   r.parents_edge[source] = source;

@@ -16,10 +16,14 @@
 //                 compact().
 //
 // Read paths compose base+delta transparently: degrees are maintained
-// incrementally, point queries consult the overlay first, and the
-// traversal/toplex queries run on a lazily-built composed incidence while
-// a delta is pending (their results are bit-identical to a rebuild from
-// scratch — hyperedge ids are stable, tombstones compact to empty rows).
+// incrementally, point queries consult the overlay first, and every
+// whole-graph query (traversals, components, toplexes, s-metrics, line
+// graphs, motifs) runs the same parallel engine in both states.  While a
+// delta is pending the engines read a composed generation — the base+delta
+// CSR pair built once per version by the compaction pipeline and cached
+// until the next mutation; compact() adopts that cached generation as the
+// new base.  Results are bit-identical to a rebuild from scratch (hyperedge
+// ids are stable, tombstones compact to empty rows).
 // Accessors that would leak the stale base structures (edge_list(),
 // hyperedges(), hypernodes(), save_csr_snapshot()) throw std::logic_error
 // while a delta is pending; everything else recomputes.  Every mutation
@@ -57,10 +61,6 @@
 #include "nwhy/io/csr_snapshot.hpp"
 #include "nwhy/relabel.hpp"
 #include "nwgraph/relabel.hpp"
-#include "nwhy/ref/incidence.hpp"
-#include "nwhy/ref/serial_motif.hpp"
-#include "nwhy/ref/serial_slinegraph.hpp"
-#include "nwhy/ref/serial_traversal.hpp"
 #include "nwhy/s_linegraph.hpp"
 #include "nwhy/slinegraph/construction.hpp"
 #include "nwhy/slinegraph/implicit.hpp"
@@ -69,7 +69,6 @@
 #include "nwpar/parallel_for.hpp"
 #include "nwpar/partitioners.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
 
 namespace nw::hypergraph {
 
@@ -294,46 +293,17 @@ public:
     maybe_autocompact();
   }
 
-  /// Fold the pending delta into a fresh immutable generation through the
-  /// parallel from_thread_buffers pipeline.  Readers holding the previous
-  /// generation() shared_ptr keep it alive.  Content-preserving: the
-  /// version counter does not change (mutations already bumped it).
+  /// Fold the pending delta into a fresh immutable generation: adopt the
+  /// composed generation (built now unless a pending-delta query already
+  /// cached it).  Readers holding the previous generation() shared_ptr keep
+  /// it alive.  Content-preserving: the version counter does not change
+  /// (mutations already bumped it).
   void compact() {
     if (delta_.empty()) return;
     NWOBS_SCOPE_TIMER("dynamic.compact");
-    auto&             pool = par::thread_pool::default_pool();
-    const std::size_t ne   = edge_degrees_.size();
-    const std::size_t nv   = node_degrees_.size();
-    const auto&       base = gen_->hyperedges;
-    par::per_thread<std::vector<std::pair<vertex_id_t, vertex_id_t>>> buffers(pool);
-    // static_blocked gives thread t a contiguous ascending block of edge
-    // ids and from_thread_buffers merges the buffers in thread order, so
-    // the compacted list comes out in canonical (edge, node) order without
-    // a sort — bit-identical to init()'s sort_and_unique on the same rows.
-    par::parallel_for(
-        0, ne,
-        [&](unsigned tid, std::size_t e) {
-          auto& buf = buffers.local(tid);
-          if (const delta_row* row = delta_.find(static_cast<vertex_id_t>(e))) {
-            for (vertex_id_t v : row->members) {
-              buf.push_back({static_cast<vertex_id_t>(e), v});
-            }
-          } else if (e < base.size()) {
-            for (auto&& t : base[e]) buf.push_back({static_cast<vertex_id_t>(e), target(t)});
-          }
-        },
-        par::static_blocked{}, pool);
-    auto el = biedgelist<>::from_thread_buffers(buffers, ne, nv, par::merge_capacity::release,
-                                                pool);
-    const std::uint64_t next_id = gen_->id + 1;
+    (void)composed();
     delta_.clear();
-    auto gen = std::make_shared<hypergraph_generation>();
-    gen->el  = std::move(el);
-    gen->hyperedges = biadjacency<0>(gen->el);
-    gen->hypernodes = biadjacency<1>(gen->el);
-    gen->id         = next_id;
-    adopt_generation(std::move(gen));
-    composed_.reset();
+    adopt_generation(std::move(composed_));
     // adjoin_ (when still cached) describes the same composed content and
     // stays valid across a content-preserving compaction.
   }
@@ -357,22 +327,13 @@ public:
 
   /// The adjoin representation, built on first use and cached; mutation
   /// invalidates the cache and the next call rebuilds from the composed
-  /// incidence.
+  /// edge list.
   [[nodiscard]] const adjoin_graph& adjoin() const {
     if (!adjoin_) {
       // Cached adjoins always speak external ids (they survive a
-      // content-preserving relabel), so a relabeled generation feeds the
-      // externally-translated edge list.
-      biedgelist<>        local;
-      const biedgelist<>* src = &gen_->el;
-      if (!delta_.empty()) {
-        local = composed_edge_list();
-        src   = &local;
-      } else if (relabel_) {
-        local = external_edge_list();
-        src   = &local;
-      }
-      adjoin_ = build_adjoin(*src);
+      // content-preserving relabel).
+      biedgelist<> scratch;
+      adjoin_ = build_adjoin(external_el(scratch));
     }
     return *adjoin_;
   }
@@ -380,19 +341,12 @@ public:
   /// The dual hypergraph H*: hyperedges and hypernodes swap roles
   /// (transpose of the incidence matrix).  Composes base+delta.
   [[nodiscard]] NWHypergraph dual() const {
-    biedgelist<>        local;
-    const biedgelist<>* src = &gen_->el;
-    if (!delta_.empty()) {
-      local = composed_edge_list();
-      src   = &local;
-    } else if (relabel_) {
-      local = external_edge_list();  // dual's node ids are our edge ids
-      src   = &local;
-    }
-    biedgelist<> el(num_hypernodes(), num_hyperedges());
-    el.reserve(src->size());
-    for (std::size_t i = 0; i < src->size(); ++i) {
-      auto [e, v] = (*src)[i];
+    biedgelist<>        scratch;
+    const biedgelist<>& src = external_el(scratch);  // dual's node ids are our edge ids
+    biedgelist<>        el(num_hypernodes(), num_hyperedges());
+    el.reserve(src.size());
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      auto [e, v] = src[i];
       el.push_back(v, e);
     }
     return NWHypergraph(std::move(el));
@@ -401,55 +355,42 @@ public:
   // --- lower-order approximations -----------------------------------------
 
   /// Listing 5 `s_linegraph(s, edges)`: the s-line graph over hyperedges
-  /// (edges == true) or the s-clique graph over hypernodes (edges == false).
-  /// Compacted state uses the direct per-thread-buffers -> CSR
-  /// materialization pipeline; a pending delta composes base+delta through
-  /// the serial overlap counter (same edge set as a rebuild).
+  /// (edges == true) or the s-clique graph over hypernodes (edges == false),
+  /// through the direct per-thread-buffers -> CSR materialization pipeline
+  /// (on the composed generation while a delta is pending).
   [[nodiscard]] s_linegraph make_s_linegraph(std::size_t s, bool edges = true) const {
-    if (!delta_.empty()) {
-      const auto& h = composed();
-      if (edges) {
-        return s_linegraph(serial_s_pairs(h.edges, h.nodes, s), num_hyperedges(),
-                           edge_degrees_, s);
-      }
-      return s_linegraph(serial_s_pairs(h.nodes, h.edges, s), num_hypernodes(), node_degrees_,
-                         s);
-    }
+    const auto& g = live();
     if (edges) {
       if (relabel_) {
         // Count overlaps over the internal (degree-ordered) rows — that is
         // the locality win — then translate pair endpoints back out.
-        auto pairs = to_two_graph_hashmap(gen_->hyperedges, gen_->hypernodes,
-                                          internal_edge_degrees_, s);
+        auto pairs = to_two_graph_hashmap(g.hyperedges, g.hypernodes, internal_edge_degrees_, s);
         nw::graph::edge_list<> ext(num_hyperedges());
         for (std::size_t i = 0; i < pairs.size(); ++i) {
           ext.push_back(relabel_->inv[pairs.source(i)], relabel_->inv[pairs.destination(i)]);
         }
         return s_linegraph(std::move(ext), num_hyperedges(), edge_degrees_, s);
       }
-      return s_linegraph(
-          to_two_graph_hashmap_csr(gen_->hyperedges, gen_->hypernodes, edge_degrees_, s),
-          edge_degrees_, s);
+      return s_linegraph(to_two_graph_hashmap_csr(g.hyperedges, g.hypernodes, edge_degrees_, s),
+                         edge_degrees_, s);
     }
     // Node-side clique graph: edge ids only act as the transpose dimension,
     // so an edge relabeling cannot change the result.
-    return s_linegraph(
-        to_two_graph_hashmap_csr(gen_->hypernodes, gen_->hyperedges, node_degrees_, s),
-        node_degrees_, s);
+    return s_linegraph(to_two_graph_hashmap_csr(g.hypernodes, g.hyperedges, node_degrees_, s),
+                       node_degrees_, s);
   }
 
   /// s-connected components / s-distance computed *without* materializing
   /// the line graph (implicit traversal — see slinegraph/implicit.hpp for
-  /// the memory/work tradeoff).  A pending delta routes through the serial
-  /// composed oracle (identical partition).
+  /// the memory/work tradeoff).
   [[nodiscard]] std::vector<vertex_id_t> s_connected_components_implicit(std::size_t s) const {
-    if (!delta_.empty()) return ref::s_components(composed(), s);
+    const auto& g = live();
     if (!relabel_) {
-      return nw::hypergraph::s_connected_components_implicit(gen_->hyperedges, gen_->hypernodes,
+      return nw::hypergraph::s_connected_components_implicit(g.hyperedges, g.hypernodes,
                                                              edge_degrees_, s);
     }
-    auto r = nw::hypergraph::s_connected_components_implicit(
-        gen_->hyperedges, gen_->hypernodes, internal_edge_degrees_, s);
+    auto r = nw::hypergraph::s_connected_components_implicit(g.hyperedges, g.hypernodes,
+                                                             internal_edge_degrees_, s);
     // Internal labels are each component's minimum *active internal* id;
     // the unrelabeled convention is the minimum active external id.
     const auto&              perm = relabel_->perm;
@@ -470,30 +411,24 @@ public:
   }
   [[nodiscard]] std::optional<std::size_t> s_distance_implicit(std::size_t s, vertex_id_t src,
                                                                vertex_id_t dst) const {
-    if (!delta_.empty()) return ref::s_distance(composed(), s, src, dst);
-    if (!relabel_) {
-      return nw::hypergraph::s_distance_implicit(gen_->hyperedges, gen_->hypernodes,
-                                                 edge_degrees_, s, src, dst);
-    }
+    const auto& g = live();
     // Hop counts are label-invariant; only the endpoints translate in.
-    return nw::hypergraph::s_distance_implicit(gen_->hyperedges, gen_->hypernodes,
-                                               internal_edge_degrees_, s,
-                                               storage_edge_id(src), storage_edge_id(dst));
+    return nw::hypergraph::s_distance_implicit(
+        g.hyperedges, g.hypernodes, relabel_ ? internal_edge_degrees_ : edge_degrees_, s,
+        storage_edge_id(src), storage_edge_id(dst));
   }
 
   /// Weighted 1-line edge list: every s-adjacent pair with its exact
   /// overlap |e_i ∩ e_j|; threshold_weighted() slices it into any L_s(H).
   [[nodiscard]] nw::graph::edge_list<std::uint32_t> weighted_linegraph_edges(
       std::size_t s = 1) const {
-    if (!delta_.empty()) {
-      return NWHypergraph(composed_edge_list()).weighted_linegraph_edges(s);
-    }
     if (relabel_) {
       // Rare path: rebuild an external-order copy so the emission order
       // matches the unrelabeled run exactly.
       return NWHypergraph(external_edge_list()).weighted_linegraph_edges(s);
     }
-    return to_two_graph_weighted(gen_->hyperedges, gen_->hypernodes, edge_degrees_, s);
+    const auto& g = live();
+    return to_two_graph_weighted(g.hyperedges, g.hypernodes, edge_degrees_, s);
   }
 
   /// A copy of this hypergraph with hyperedge ids relabeled by degree
@@ -504,19 +439,12 @@ public:
       nw::graph::degree_order order = nw::graph::degree_order::descending,
       std::vector<vertex_id_t>* perm_out = nullptr) const {
     auto                perm = nw::graph::degree_permutation(edge_degrees_, order);
-    biedgelist<>        local;
-    const biedgelist<>* src = &gen_->el;
-    if (!delta_.empty()) {
-      local = composed_edge_list();
-      src   = &local;
-    } else if (relabel_) {
-      local = external_edge_list();  // perm is over external ids
-      src   = &local;
-    }
-    biedgelist<> rel(num_hyperedges(), num_hypernodes());
-    rel.reserve(src->size());
-    for (std::size_t i = 0; i < src->size(); ++i) {
-      auto [e, v] = (*src)[i];
+    biedgelist<>        scratch;
+    const biedgelist<>& src = external_el(scratch);  // perm is over external ids
+    biedgelist<>        rel(num_hyperedges(), num_hypernodes());
+    rel.reserve(src.size());
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      auto [e, v] = src[i];
       rel.push_back(perm[e], v);
     }
     if (perm_out) *perm_out = std::move(perm);
@@ -527,30 +455,25 @@ public:
   /// every hyperedge by a clique.  Materialized through the direct
   /// per-thread-buffers -> CSR pipeline.
   [[nodiscard]] nw::graph::adjacency<> clique_expansion_graph() const {
-    if (!delta_.empty()) return NWHypergraph(composed_edge_list()).clique_expansion_graph();
-    return clique_expansion_csr(gen_->hypernodes, gen_->hyperedges, node_degrees_);
+    const auto& g = live();
+    return clique_expansion_csr(g.hypernodes, g.hyperedges, node_degrees_);
   }
 
   // --- exact algorithms -----------------------------------------------------
 
-  /// HyperBFS from a hyperedge (direction-optimizing; a pending delta runs
-  /// the composed serial engine, distances bit-identical).
+  /// HyperBFS from a hyperedge (direction-optimizing).
   [[nodiscard]] hyper_bfs_result bfs(vertex_id_t source_edge) const {
-    if (!delta_.empty()) return composed_bfs(source_edge);
-    if (!relabel_) return hyper_bfs(gen_->hyperedges, gen_->hypernodes, source_edge);
-    auto r = hyper_bfs(gen_->hyperedges, gen_->hypernodes, storage_edge_id(source_edge));
+    const auto& g = live();
+    if (!relabel_) return hyper_bfs(g.hyperedges, g.hypernodes, source_edge);
+    auto r = hyper_bfs(g.hyperedges, g.hypernodes, storage_edge_id(source_edge));
     return derelabel_bfs(std::move(r), source_edge);
   }
 
-  /// HyperCC over the bipartite representation (min-label convention; the
-  /// composed path reproduces it exactly).
+  /// HyperCC over the bipartite representation (min-label convention).
   [[nodiscard]] hyper_cc_result connected_components() const {
-    if (!delta_.empty()) {
-      auto r = ref::cc_labels(composed());
-      return hyper_cc_result{std::move(r.labels_edge), std::move(r.labels_node)};
-    }
-    if (!relabel_) return hyper_cc(gen_->hyperedges, gen_->hypernodes);
-    return derelabel_cc(hyper_cc(gen_->hyperedges, gen_->hypernodes));
+    const auto& g = live();
+    if (!relabel_) return hyper_cc(g.hyperedges, g.hypernodes);
+    return derelabel_cc(hyper_cc(g.hyperedges, g.hypernodes));
   }
 
   /// AdjoinBFS / AdjoinCC through the adjoin representation (which itself
@@ -563,25 +486,20 @@ public:
     return adjoin_cc(adjoin(), engine);
   }
 
-  /// Toplexes (Algorithm 3); a pending delta runs the composed serial
-  /// dominance test (same tie-breaks, identical output).
+  /// Toplexes (Algorithm 3).
   [[nodiscard]] std::vector<vertex_id_t> toplexes() const {
-    if (!delta_.empty()) return composed_toplexes();
-    auto internal = nw::hypergraph::toplexes(gen_->hyperedges, gen_->hypernodes);
+    const auto& g        = live();
+    auto        internal = nw::hypergraph::toplexes(g.hyperedges, g.hypernodes);
     if (!relabel_) return internal;
     return derelabel_toplexes(internal);
   }
 
   /// Wedge/triad/butterfly census of the bipartite form
-  /// (nwhy/algorithms/motif.hpp).  A pending delta runs the serial census on
-  /// the composed incidence; the census is label-invariant, so the parallel
-  /// path runs on the internal (possibly relabeled) CSRs unchanged.
+  /// (nwhy/algorithms/motif.hpp).  The census is label-invariant, so it
+  /// runs on the internal (possibly relabeled) CSRs unchanged.
   [[nodiscard]] motif_census motifs() const {
-    if (!delta_.empty()) {
-      auto r = ref::motif_counts(composed());
-      return motif_census{r.wedges, r.triads, r.open_wedges, r.butterflies};
-    }
-    return count_motifs(gen_->hyperedges, gen_->hypernodes);
+    const auto& g = live();
+    return count_motifs(g.hyperedges, g.hypernodes);
   }
 
   // --- degree-ordered storage relabeling (ROADMAP item 2 locality pass) ----
@@ -864,139 +782,56 @@ private:
     if (threshold != 0 && delta_.size() >= threshold) compact();
   }
 
-  /// The composed (base+delta) incidence, cached until the next mutation.
-  const ref::incidence& composed() const {
-    if (!composed_) {
-      auto              inc = std::make_shared<ref::incidence>();
-      const std::size_t ne  = edge_degrees_.size();
-      const std::size_t nv  = node_degrees_.size();
-      inc->edges.resize(ne);
-      inc->nodes.resize(nv);
-      for (std::size_t e = 0; e < ne; ++e) {
-        inc->edges[e] = edge_members(static_cast<vertex_id_t>(e));
-        for (vertex_id_t v : inc->edges[e]) {
-          inc->nodes[v].push_back(static_cast<vertex_id_t>(e));  // ascending e: sorted
-        }
-      }
-      composed_ = std::move(inc);
-    }
+  /// The generation every whole-graph query reads: the base when
+  /// compacted, else the composed base+delta generation.  A relabeled state
+  /// never has a pending delta, so relabeled reads always see the base.
+  [[nodiscard]] const hypergraph_generation& live() const {
+    return delta_.empty() ? *gen_ : composed();
+  }
+
+  /// The composed (base+delta) generation, built through the parallel
+  /// from_thread_buffers pipeline and cached until the next mutation;
+  /// compact() adopts it as the next base generation.
+  const hypergraph_generation& composed() const {
+    if (composed_) return *composed_;
+    auto&             pool = par::thread_pool::default_pool();
+    const std::size_t ne   = edge_degrees_.size();
+    const std::size_t nv   = node_degrees_.size();
+    const auto&       base = gen_->hyperedges;
+    par::per_thread<std::vector<std::pair<vertex_id_t, vertex_id_t>>> buffers(pool);
+    // static_blocked gives thread t a contiguous ascending block of edge
+    // ids and from_thread_buffers merges the buffers in thread order, so
+    // the composed list comes out in canonical (edge, node) order without
+    // a sort — bit-identical to init()'s sort_and_unique on the same rows.
+    par::parallel_for(
+        0, ne,
+        [&](unsigned tid, std::size_t e) {
+          auto& buf = buffers.local(tid);
+          if (const delta_row* row = delta_.find(static_cast<vertex_id_t>(e))) {
+            for (vertex_id_t v : row->members) {
+              buf.push_back({static_cast<vertex_id_t>(e), v});
+            }
+          } else if (e < base.size()) {
+            for (auto&& t : base[e]) buf.push_back({static_cast<vertex_id_t>(e), target(t)});
+          }
+        },
+        par::static_blocked{}, pool);
+    auto gen        = std::make_shared<hypergraph_generation>();
+    gen->el         = biedgelist<>::from_thread_buffers(buffers, ne, nv,
+                                                        par::merge_capacity::release, pool);
+    gen->hyperedges = biadjacency<0>(gen->el);
+    gen->hypernodes = biadjacency<1>(gen->el);
+    gen->id         = gen_->id + 1;
+    composed_       = std::move(gen);
     return *composed_;
   }
 
-  /// The composed edge list in canonical (edge, node) order.
-  [[nodiscard]] biedgelist<> composed_edge_list() const {
-    biedgelist<> el(num_hyperedges(), num_hypernodes());
-    el.reserve(num_incidences_);
-    for (std::size_t e = 0; e < edge_degrees_.size(); ++e) {
-      for (vertex_id_t v : edge_members(static_cast<vertex_id_t>(e))) {
-        el.push_back(static_cast<vertex_id_t>(e), v);
-      }
-    }
-    return el;
-  }
-
-  /// Serial composed HyperBFS, reproducing the parallel engine's
-  /// conventions exactly: dist_edge[source] = 0, alternating bipartite
-  /// levels, parents cross-class with the source parenting itself.
-  [[nodiscard]] hyper_bfs_result composed_bfs(vertex_id_t source) const {
-    const auto&      h = composed();
-    hyper_bfs_result r;
-    r.parents_edge.assign(h.num_edges(), null_vertex<>);
-    r.parents_node.assign(h.num_nodes(), null_vertex<>);
-    r.dist_edge.assign(h.num_edges(), null_vertex<>);
-    r.dist_node.assign(h.num_nodes(), null_vertex<>);
-    if (h.num_edges() == 0 || source >= h.num_edges()) return r;
-    r.parents_edge[source] = source;
-    r.dist_edge[source]    = 0;
-    std::vector<vertex_id_t> frontier{source};
-    std::vector<vertex_id_t> next;
-    bool                     edge_side = true;
-    vertex_id_t              level     = 0;
-    while (!frontier.empty()) {
-      ++level;
-      next.clear();
-      for (vertex_id_t u : frontier) {
-        const auto& nbrs    = edge_side ? h.edges[u] : h.nodes[u];
-        auto&       dist    = edge_side ? r.dist_node : r.dist_edge;
-        auto&       parents = edge_side ? r.parents_node : r.parents_edge;
-        for (vertex_id_t v : nbrs) {
-          if (dist[v] == null_vertex<>) {
-            dist[v]    = level;
-            parents[v] = u;
-            next.push_back(v);
-          }
-        }
-      }
-      frontier.swap(next);
-      edge_side = !edge_side;
-    }
-    return r;
-  }
-
-  /// Serial composed toplexes with the parallel formulation's dominance
-  /// rule: e dominated iff ∃f: e ⊆ f ∧ (|f| > |e| ∨ (|f| == |e| ∧ f < e));
-  /// among empty hyperedges only the smallest id survives, and only when no
-  /// non-empty hyperedge exists.
-  [[nodiscard]] std::vector<vertex_id_t> composed_toplexes() const {
-    const auto&       h  = composed();
-    const std::size_t ne = h.num_edges();
-    bool              any_nonempty   = false;
-    vertex_id_t       first_empty_id = null_vertex<>;
-    for (std::size_t i = 0; i < ne; ++i) {
-      if (!h.edges[i].empty()) {
-        any_nonempty = true;
-      } else if (first_empty_id == null_vertex<>) {
-        first_empty_id = static_cast<vertex_id_t>(i);
-      }
-    }
-    std::vector<vertex_id_t> result;
-    counting_hashmap<>       overlap;
-    for (std::size_t i = 0; i < ne; ++i) {
-      const vertex_id_t ei = static_cast<vertex_id_t>(i);
-      const std::size_t di = h.edges[i].size();
-      if (di == 0) {
-        if (!any_nonempty && ei == first_empty_id) result.push_back(ei);
-        continue;
-      }
-      overlap.clear();
-      for (vertex_id_t v : h.edges[i]) {
-        for (vertex_id_t ej : h.nodes[v]) {
-          if (ej != ei) overlap.increment(ej);
-        }
-      }
-      bool dom = false;
-      overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-        if (dom || n < di) return;
-        std::size_t dj = h.edges[ej].size();
-        if (dj > di || (dj == di && ej < ei)) dom = true;
-      });
-      if (!dom) result.push_back(ei);
-    }
-    return result;
-  }
-
-  /// Serial composed s-line-graph pair set through overlap counting — the
-  /// same edge set the parallel hashmap algorithm emits (pairs sharing at
-  /// least one member, overlap >= s, both entities active).
-  static nw::graph::edge_list<> serial_s_pairs(const ref::adjacency_list& entities,
-                                               const ref::adjacency_list& transpose,
-                                               std::size_t s) {
-    nw::graph::edge_list<> out(entities.size());
-    counting_hashmap<>     overlap;
-    for (std::size_t i = 0; i < entities.size(); ++i) {
-      if (entities[i].size() < s) continue;
-      const vertex_id_t ei = static_cast<vertex_id_t>(i);
-      overlap.clear();
-      for (vertex_id_t v : entities[i]) {
-        for (vertex_id_t ej : transpose[v]) {
-          if (ej > ei && entities[ej].size() >= s) overlap.increment(ej);
-        }
-      }
-      overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-        if (n >= s) out.push_back(ei, ej);
-      });
-    }
-    return out;
+  /// The live edge list in external ids and canonical order: the live
+  /// generation's own list, or (relabeled) a translated copy in `scratch`.
+  const biedgelist<>& external_el(biedgelist<>& scratch) const {
+    if (!relabel_) return live().el;
+    scratch = external_edge_list();
+    return scratch;
   }
 
   std::shared_ptr<const hypergraph_generation> gen_;
@@ -1012,7 +847,7 @@ private:
   std::vector<std::size_t>                     node_degrees_;
   std::size_t                                  num_incidences_ = 0;
   mutable std::unique_ptr<adjoin_graph>        adjoin_;
-  mutable std::shared_ptr<const ref::incidence> composed_;
+  mutable std::shared_ptr<hypergraph_generation> composed_;
   std::shared_ptr<std::uint64_t> version_ = std::make_shared<std::uint64_t>(0);
 };
 

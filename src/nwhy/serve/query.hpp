@@ -261,10 +261,10 @@ struct serve_graph {
   return comp;
 }
 
-/// Serial twin of NWHypergraph::composed_bfs on the generation CSRs:
-/// alternating bipartite levels, dist_edge[source] = 0, level incremented
-/// per half-step.  Summarized into the fixed-size bfs_reply (counts, max
-/// hyperedge depth, digests of both distance arrays).
+/// Serial twin of hyper_bfs on the generation CSRs: alternating bipartite
+/// levels, dist_edge[source] = 0, level incremented per half-step.
+/// Summarized into the fixed-size bfs_reply (counts, max hyperedge depth,
+/// digests of both distance arrays).
 [[nodiscard]] inline bfs_reply serve_bfs(const serve_graph& g, vertex_id_t source,
                                          const deadline_token& dl) {
   const std::size_t        ne = g.num_hyperedges();

@@ -89,12 +89,13 @@ std::vector<vertex_id_t> s_connected_components_implicit(
 }
 
 /// s-distance between two hyperedges without materializing the line graph;
-/// nullopt when unreachable (or either endpoint inactive).
+/// nullopt when unreachable (or either endpoint inactive or out of range).
 template <class EGraph, class NGraph>
 std::optional<std::size_t> s_distance_implicit(const EGraph& edges, const NGraph& nodes,
                                                const std::vector<std::size_t>& edge_degrees,
                                                std::size_t s, vertex_id_t src,
                                                vertex_id_t dst) {
+  if (src >= edge_degrees.size() || dst >= edge_degrees.size()) return std::nullopt;
   if (edge_degrees[src] < s || edge_degrees[dst] < s) return std::nullopt;
   if (src == dst) return 0;
   const std::size_t        ne = edges.size();

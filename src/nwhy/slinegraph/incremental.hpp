@@ -31,11 +31,13 @@
 #include <vector>
 
 #include "nwhy/nwhypergraph.hpp"
-#include "nwhy/ref/incidence.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/flat_hashmap.hpp"
 
 namespace nw::hypergraph {
+
+/// Per-entity sorted id lists (a hyperedge's members, a hypernode's edges).
+using incidence_lists = std::vector<std::vector<vertex_id_t>>;
 
 /// An s-line graph maintained under hyperedge updates.  Owns its own copy
 /// of the composed incidence (so it stays coherent across compactions of
@@ -165,7 +167,7 @@ public:
   }
 
   /// s-component labels: min active edge id per component, null_vertex<>
-  /// for inactive edges — the ref::s_components convention.  Repairs the
+  /// for inactive edges — the serial s_components oracle's convention.  Repairs the
   /// union-find first when a deletion invalidated it.
   [[nodiscard]] std::vector<vertex_id_t> s_connected_components() const {
     ensure_union_find();
@@ -237,8 +239,8 @@ private:
   }
 
   std::size_t                           s_;
-  ref::adjacency_list                   edge_members_;  ///< per-edge sorted members
-  ref::adjacency_list                   node_edges_;    ///< transpose, sorted
+  incidence_lists                       edge_members_;  ///< per-edge sorted members
+  incidence_lists                       node_edges_;    ///< transpose, sorted
   std::vector<std::vector<vertex_id_t>> adj_;           ///< line-graph adjacency, sorted
   mutable std::vector<vertex_id_t>      parent_;        ///< union-find forest over adj_
   mutable bool                          cc_valid_ = false;
@@ -350,8 +352,8 @@ private:
     return dom;
   }
 
-  ref::adjacency_list        edge_members_;
-  ref::adjacency_list        node_edges_;
+  incidence_lists            edge_members_;
+  incidence_lists            node_edges_;
   std::vector<char>          dominated_;
   std::size_t                nonempty_count_ = 0;
   mutable counting_hashmap<> overlap_;

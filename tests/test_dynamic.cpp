@@ -226,6 +226,39 @@ TEST(Dynamic, ComposedQueriesMatchRebuildAcrossThreads) {
                                    rebuilt.s_connected_components_implicit(s)));
       }
 
+      // The rebuild runs the same engines as the pending-delta path, so
+      // also hold every pending-delta answer against the serial oracles on
+      // the ground truth.
+      if (dyn.num_hyperedges() > 0) {
+        const vertex_id_t src  = static_cast<vertex_id_t>(dyn.num_hyperedges() / 2);
+        auto              a    = dyn.bfs(src);
+        auto              want = ref::bfs_levels(inc, src);
+        EXPECT_EQ(a.dist_edge, want.dist_edge);
+        EXPECT_EQ(a.dist_node, want.dist_node);
+      }
+      auto cc_want = ref::cc_labels(inc);
+      EXPECT_TRUE(same_partition(concat_labels(ca.labels_edge, ca.labels_node),
+                                 concat_labels(cc_want.labels_edge, cc_want.labels_node)));
+      EXPECT_EQ(dyn.toplexes(), ref::toplexes(inc));
+      const auto census      = dyn.motifs();
+      const auto census_want = ref::motif_counts(inc);
+      EXPECT_EQ(census.wedges, census_want.wedges);
+      EXPECT_EQ(census.triads, census_want.triads);
+      EXPECT_EQ(census.open_wedges, census_want.open_wedges);
+      EXPECT_EQ(census.butterflies, census_want.butterflies);
+      for (std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE("oracle s=" + std::to_string(s));
+        EXPECT_EQ(nwtest::csr_pairs(dyn.make_s_linegraph(s).graph()), ref::s_line_edges(inc, s));
+        EXPECT_TRUE(same_partition(dyn.s_connected_components_implicit(s),
+                                   ref::s_components(inc, s)));
+        for (int k = 0; k < 4 && dyn.num_hyperedges() > 0; ++k) {
+          const auto x = static_cast<vertex_id_t>(rng.bounded(dyn.num_hyperedges()));
+          const auto y = static_cast<vertex_id_t>(rng.bounded(dyn.num_hyperedges()));
+          EXPECT_EQ(dyn.s_distance_implicit(s, x, y), ref::s_distance(inc, s, x, y))
+              << "endpoints " << x << ", " << y;
+        }
+      }
+
       // Compaction folds the overlay into a new generation with the exact
       // edge list a from-scratch build produces.
       const std::uint64_t v_before = dyn.version();
@@ -319,6 +352,22 @@ TEST(Dynamic, TombstoneOnlyGraphIsFullyEmpty) {
   h.compact();
   EXPECT_EQ(h.num_incidences(), 0u);
   EXPECT_EQ(h.num_hyperedges(), 4u) << "ids stay stable through tombstone compaction";
+}
+
+TEST(Dynamic, OutOfRangeSourcesReachNothingInBothStates) {
+  NWHypergraph h(nwtest::figure1_hypergraph());
+  const vertex_id_t bad = 99;
+  for (bool pending : {true, false}) {
+    SCOPED_TRACE(pending ? "pending delta" : "compacted");
+    if (pending) h.update_edge(0, {0, 5});
+    ASSERT_EQ(h.has_pending_delta(), pending);
+    auto r = h.bfs(bad);
+    EXPECT_EQ(r.dist_edge, std::vector<vertex_id_t>(h.num_hyperedges(), nw::null_vertex<>));
+    EXPECT_EQ(r.dist_node, std::vector<vertex_id_t>(h.num_hypernodes(), nw::null_vertex<>));
+    EXPECT_EQ(h.s_distance_implicit(1, bad, 0), std::nullopt);
+    EXPECT_EQ(h.s_distance_implicit(1, 0, bad), std::nullopt);
+    h.compact();
+  }
 }
 
 TEST(Dynamic, PendingDeltaBlocksBaseAccessors) {

@@ -14,6 +14,7 @@
 #include "nwgraph/algorithms/pagerank.hpp"
 #include "nwgraph/algorithms/sssp.hpp"
 #include "nwgraph/algorithms/triangle_count.hpp"
+#include "prop_harness.hpp"
 #include "test_util.hpp"
 
 using namespace nw::graph;
@@ -195,6 +196,35 @@ TEST(Cc, GiantComponentPlusFringe) {
   EXPECT_TRUE(same_partition(labels, reference_components(g)));
   EXPECT_EQ(count_components(labels), 51u);
   EXPECT_EQ(largest_component_size(labels), 100u);
+}
+
+// Concurrent path compression in cc_afforest once stored a stale root over
+// a pointer that another thread had already lowered, closing a two-cycle
+// that every later find_root spun on (about one call in 150 hung at 4
+// threads on this input).  The calls match the library's afforest users:
+// s-line graphs at s=2 and s=8 and the adjoin graph of a skewed social
+// hypergraph.  A hang fails through this binary's ctest TIMEOUT.
+TEST(Cc, AfforestStressAtFourThreadsTerminates) {
+  nwtest::concurrency_guard    guard;
+  nw::hypergraph::NWHypergraph h(
+      nw::hypergraph::gen::powerlaw_hypergraph(8000, 40000, 128, 1.2, 0.8, 8000));
+  const auto                        s2 = h.make_s_linegraph(2);
+  const auto                        s8 = h.make_s_linegraph(8);
+  const std::vector<const adjacency<>*> graphs{&s2.graph(), &s8.graph(), &h.adjoin().graph};
+  nw::par::thread_pool::set_default_concurrency(1);
+  std::vector<std::vector<vertex_id_t>> want;
+  for (const auto* g : graphs) {
+    want.push_back(cc_afforest(*g));
+    ASSERT_TRUE(same_partition(want.back(), reference_components(*g)));
+  }
+  nw::par::thread_pool::set_default_concurrency(4);
+  // Labels are each component's minimum id, so every run matches exactly.
+  const std::uint64_t iters = 25 * nwtest::env_u64("NWHY_TEST_ITERS", 24);
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      ASSERT_EQ(cc_afforest(*graphs[i]), want[i]) << "iteration " << it << ", graph " << i;
+    }
+  }
 }
 
 // --- SSSP ---------------------------------------------------------------------

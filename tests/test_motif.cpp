@@ -58,8 +58,8 @@ TEST(Motif, CensusIsInvariantUnderStorageRelabeling) {
 }
 
 TEST(Motif, CensusThroughPendingDeltaMatchesCompactedCensus) {
-  // A pending mutation routes motifs() through the composed serial census;
-  // compacting and re-running the parallel path must agree.
+  // A pending mutation runs the census on the composed generation; it must
+  // agree with the compacted census and with the serial oracle.
   nwtest::concurrency_guard guard;
   for (auto seed : nwtest::differential_seeds(0x3081'0000)) {
     NWHY_SEED_TRACE(seed);
@@ -68,9 +68,10 @@ TEST(Motif, CensusThroughPendingDeltaMatchesCompactedCensus) {
     if (ne == 0) continue;
     hg.update_edge(static_cast<vertex_id_t>(seed % ne),
                    {0, static_cast<vertex_id_t>(hg.num_hypernodes() / 2)});
-    auto through_delta = hg.motifs();  // serial composed path while pending
+    auto through_delta = hg.motifs();  // composed generation while pending
     hg.compact();
     EXPECT_EQ(hg.motifs(), through_delta);
+    expect_census_eq(through_delta, ref::motif_counts(ref::from_biedgelist(hg.edge_list())));
   }
 }
 
