@@ -67,6 +67,10 @@ case "$MODE" in
     # The nwgraph substrate, for the afforest stress test: concurrent
     # find_root path compression at 4 threads.
     "$BUILD"/tests/test_graph_algorithms
+    # The engines' explicit-pool / stop-hook contract at 1/2/4 threads, and
+    # the counter slots under two engines on their own one-context pools.
+    "$BUILD"/tests/test_implicit
+    "$BUILD"/tests/test_nwobs
     ;;
   ubsan)
     BUILD=${2:-build-ubsan}

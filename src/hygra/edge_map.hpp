@@ -101,10 +101,10 @@ vertex_subset edge_map(const Graph& g_frontier, const GraphT& g_target,
     go_dense = frontier.size() + degsum > threshold;
   }
   if (go_dense) {
-    NWOBS_COUNT("hygra.steps_dense", 0, 1);
+    NWOBS_COUNT("hygra.steps_dense", 1);
     return edge_map_dense(g_target, frontier, g_frontier.size(), update, cond);
   }
-  NWOBS_COUNT("hygra.steps_sparse", 0, 1);
+  NWOBS_COUNT("hygra.steps_sparse", 1);
   return edge_map_sparse(g_frontier, frontier, update, cond);
 }
 

@@ -153,27 +153,27 @@ std::vector<vertex_id_t> bfs_direction_optimizing(const Graph& g, vertex_id_t so
   bool        bottom_up       = false;
 
   while (!front.empty()) {
-    NWOBS_COUNT("graph_bfs.levels", 0, 1);
-    NWOBS_COUNT("graph_bfs.frontier_total", 0, front.size());
-    NWOBS_COUNT("graph_bfs.scout_count", 0, scout);
+    NWOBS_COUNT("graph_bfs.levels", 1);
+    NWOBS_COUNT("graph_bfs.frontier_total", front.size());
+    NWOBS_COUNT("graph_bfs.scout_count", scout);
     NWOBS_GAUGE_MAX("graph_bfs.frontier_peak", front.size());
     NWOBS_GAUGE_MAX("graph_bfs.frontier_density_permille", front.density_permille());
     if (!bottom_up && scout * alpha > edges_remaining) {
       bottom_up = true;
-      NWOBS_COUNT("graph_bfs.direction_switches", 0, 1);
+      NWOBS_COUNT("graph_bfs.direction_switches", 1);
     } else if (bottom_up && front.size() < g.size() / beta) {
       bottom_up = false;
-      NWOBS_COUNT("graph_bfs.direction_switches", 0, 1);
+      NWOBS_COUNT("graph_bfs.direction_switches", 1);
     }
     bfs_step_stats st;
     if (bottom_up) {
-      NWOBS_COUNT("graph_bfs.steps_bottom_up", 0, 1);
+      NWOBS_COUNT("graph_bfs.steps_bottom_up", 1);
       st = bfs_bottom_up_step(g, front, next, parents);
     } else {
-      NWOBS_COUNT("graph_bfs.steps_top_down", 0, 1);
+      NWOBS_COUNT("graph_bfs.steps_top_down", 1);
       st = bfs_top_down_step(g, front, next, parents);
     }
-    NWOBS_COUNT("graph_bfs.edges_relaxed", 0, st.scanned);
+    NWOBS_COUNT("graph_bfs.edges_relaxed", st.scanned);
     edges_remaining -= std::min(edges_remaining, st.scanned);
     scout = st.scout;
     front.swap(next);

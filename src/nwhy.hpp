@@ -27,7 +27,6 @@
 
 // Graph substrate (NWGraph)
 #include "nwgraph/adjacency.hpp"
-#include "nwgraph/algorithms/betweenness.hpp"
 #include "nwgraph/algorithms/bfs.hpp"
 #include "nwgraph/algorithms/closeness.hpp"
 #include "nwgraph/algorithms/connected_components.hpp"

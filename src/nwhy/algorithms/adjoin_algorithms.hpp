@@ -35,7 +35,7 @@ inline adjoin_bfs_result adjoin_bfs(const adjoin_graph& g, vertex_id_t source_ed
   // this wrapper contributes the phase timer and run count so profiles can
   // attribute those engine counters to AdjoinBFS invocations.
   NWOBS_SCOPE_TIMER("adjoin_bfs");
-  NWOBS_COUNT("adjoin_bfs.runs", 0, 1);
+  NWOBS_COUNT("adjoin_bfs.runs", 1);
   auto parents = nw::graph::bfs_direction_optimizing(g.graph, source_edge);
   auto [pe, pn] = split_results(parents, g.nrealedges);
   return {std::move(pe), std::move(pn)};

@@ -25,6 +25,7 @@
 #include "nwhy/biadjacency.hpp"
 #include "nwobs/counters.hpp"
 #include "nwobs/scope_timer.hpp"
+#include "nwpar/cancel.hpp"
 #include "nwpar/frontier.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/atomics.hpp"
@@ -63,24 +64,28 @@ template <class Graph, class NextGraph>
 expand_stats expand_top_down(const Graph& graph, const NextGraph& next_graph,
                              par::frontier& front, par::frontier& next,
                              std::vector<vertex_id_t>& parents_target,
-                             std::vector<vertex_id_t>& dist_target, vertex_id_t level) {
+                             std::vector<vertex_id_t>& dist_target, vertex_id_t level,
+                             par::thread_pool& pool) {
   const auto&                  ids = front.ids();
-  par::per_thread<std::size_t> scanned;
-  par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
-    vertex_id_t u     = ids[i];
-    std::size_t local = 0;
-    for (auto&& e : graph[u]) {
-      vertex_id_t v = target(e);
-      ++local;
-      if (atomic_load(parents_target[v]) == null_vertex<> &&
-          compare_and_swap(parents_target[v], null_vertex<>, u)) {
-        dist_target[v] = level;
-        next.emit(tid, v, next_graph.degree(v));
-      }
-    }
-    scanned.local(tid) += local;
-    NWOBS_COUNT("hyper_bfs.edges_relaxed", tid, local);
-  });
+  par::per_thread<std::size_t> scanned(pool);
+  par::parallel_for(
+      0, ids.size(),
+      [&](unsigned tid, std::size_t i) {
+        vertex_id_t u     = ids[i];
+        std::size_t local = 0;
+        for (auto&& e : graph[u]) {
+          vertex_id_t v = target(e);
+          ++local;
+          if (atomic_load(parents_target[v]) == null_vertex<> &&
+              compare_and_swap(parents_target[v], null_vertex<>, u)) {
+            dist_target[v] = level;
+            next.emit(tid, v, next_graph.degree(v));
+          }
+        }
+        scanned.local(tid) += local;
+        NWOBS_COUNT("hyper_bfs.edges_relaxed", local);
+      },
+      par::blocked{}, pool);
   expand_stats st;
   st.added = next.commit_sparse();
   st.scout = next.take_scout();
@@ -97,26 +102,30 @@ expand_stats expand_top_down(const Graph& graph, const NextGraph& next_graph,
 template <class Graph>
 expand_stats expand_bottom_up(const Graph& graph_target_side, par::frontier& front,
                               par::frontier& next, std::vector<vertex_id_t>& parents_target,
-                              std::vector<vertex_id_t>& dist_target, vertex_id_t level) {
+                              std::vector<vertex_id_t>& dist_target, vertex_id_t level,
+                              par::thread_pool& pool) {
   const nw::bitmap& fb = front.bits();
   next.begin_dense();
-  par::per_thread<std::size_t> scanned;
-  par::parallel_for(0, graph_target_side.size(), [&](unsigned tid, std::size_t v) {
-    if (parents_target[v] != null_vertex<>) return;
-    std::size_t local = 0;
-    for (auto&& e : graph_target_side[v]) {
-      vertex_id_t u = target(e);
-      ++local;
-      if (fb.get(u)) {
-        parents_target[v] = u;
-        dist_target[v]    = level;
-        next.emit_dense(tid, static_cast<vertex_id_t>(v), graph_target_side.degree(v));
-        break;
-      }
-    }
-    scanned.local(tid) += local;
-    NWOBS_COUNT("hyper_bfs.edges_relaxed", tid, local);
-  });
+  par::per_thread<std::size_t> scanned(pool);
+  par::parallel_for(
+      0, graph_target_side.size(),
+      [&](unsigned tid, std::size_t v) {
+        if (parents_target[v] != null_vertex<>) return;
+        std::size_t local = 0;
+        for (auto&& e : graph_target_side[v]) {
+          vertex_id_t u = target(e);
+          ++local;
+          if (fb.get(u)) {
+            parents_target[v] = u;
+            dist_target[v]    = level;
+            next.emit_dense(tid, static_cast<vertex_id_t>(v), graph_target_side.degree(v));
+            break;
+          }
+        }
+        scanned.local(tid) += local;
+        NWOBS_COUNT("hyper_bfs.edges_relaxed", local);
+      },
+      par::blocked{}, pool);
   expand_stats st;
   st.added = next.commit_dense();
   st.scout = next.take_scout();
@@ -128,8 +137,8 @@ expand_stats expand_bottom_up(const Graph& graph_target_side, par::frontier& fro
 /// observability registry.  No-op under -DNWHY_OBS=0.
 inline void record_level(std::size_t frontier_size) {
   (void)frontier_size;
-  NWOBS_COUNT("hyper_bfs.levels", 0, 1);
-  NWOBS_COUNT("hyper_bfs.frontier_total", 0, frontier_size);
+  NWOBS_COUNT("hyper_bfs.levels", 1);
+  NWOBS_COUNT("hyper_bfs.frontier_total", frontier_size);
   NWOBS_GAUGE_MAX("hyper_bfs.frontier_peak", frontier_size);
 }
 
@@ -159,11 +168,11 @@ hyper_bfs_result hyper_bfs_top_down(const EGraph& hyperedges, const NGraph& hype
     detail::record_level(f_edge.size());
     auto to_nodes =
         detail::expand_top_down(hyperedges, hypernodes, f_edge, f_node, r.parents_node,
-                                r.dist_node, ++level);
+                                r.dist_node, ++level, par::thread_pool::default_pool());
     if (to_nodes.added == 0) break;
     detail::record_level(f_node.size());
     detail::expand_top_down(hypernodes, hyperedges, f_node, f_edge, r.parents_edge, r.dist_edge,
-                            ++level);
+                            ++level, par::thread_pool::default_pool());
   }
   return r;
 }
@@ -190,11 +199,13 @@ hyper_bfs_result hyper_bfs_bottom_up(const EGraph& hyperedges, const NGraph& hyp
     // Hypernode side scans its incident hyperedges for frontier members;
     // the next bitmap is emitted directly, one atomic OR per claim.
     auto to_nodes = detail::expand_bottom_up(hypernodes, f_edge, f_node, r.parents_node,
-                                             r.dist_node, ++level);
+                                             r.dist_node, ++level,
+                                             par::thread_pool::default_pool());
     if (to_nodes.added == 0) break;
     detail::record_level(to_nodes.added);
     auto to_edges = detail::expand_bottom_up(hyperedges, f_node, f_edge, r.parents_edge,
-                                             r.dist_edge, ++level);
+                                             r.dist_edge, ++level,
+                                             par::thread_pool::default_pool());
     if (to_edges.added == 0) break;
   }
   return r;
@@ -227,10 +238,14 @@ inline std::vector<vertex_id_t> extract_hyperpath(const hyper_bfs_result& bfs,
 /// back to top-down once the frontier shrinks below |target side| / beta —
 /// the same Beamer heuristics as the graph engine, replacing the old crude
 /// |frontier| > |side|/20 rule.  alpha/beta of 0 take the process defaults
-/// (NWHY_BFS_ALPHA / NWHY_BFS_BETA env overrides, else 15/18).
-template <class EGraph, class NGraph>
+/// (NWHY_BFS_ALPHA / NWHY_BFS_BETA env overrides, else 15/18).  `stop` is
+/// polled once per half-step on the calling thread; when it fires, the
+/// search throws par::cancelled.
+template <class EGraph, class NGraph, class Stop = par::never_stop>
 hyper_bfs_result hyper_bfs(const EGraph& hyperedges, const NGraph& hypernodes,
-                           vertex_id_t source, std::size_t alpha = 0, std::size_t beta = 0) {
+                           vertex_id_t source, std::size_t alpha = 0, std::size_t beta = 0,
+                           Stop stop = {},
+                           par::thread_pool& pool = par::thread_pool::default_pool()) {
   if (alpha == 0) alpha = par::bfs_alpha();
   if (beta == 0) beta = par::bfs_beta();
   hyper_bfs_result r;
@@ -243,7 +258,7 @@ hyper_bfs_result hyper_bfs(const EGraph& hyperedges, const NGraph& hypernodes,
   NWOBS_SCOPE_TIMER("hyper_bfs");
   r.parents_edge[source] = source;
   r.dist_edge[source]    = 0;
-  par::frontier f_edge(hyperedges.size()), f_node(hypernodes.size());
+  par::frontier f_edge(hyperedges.size(), pool), f_node(hypernodes.size(), pool);
   f_edge.assign_single(source);
   par::frontier* cur = &f_edge;
   par::frontier* nxt = &f_node;
@@ -257,35 +272,36 @@ hyper_bfs_result hyper_bfs(const EGraph& hyperedges, const NGraph& hypernodes,
   vertex_id_t level           = 0;
 
   while (!cur->empty()) {
+    if (stop()) throw par::cancelled{};
     detail::record_level(cur->size());
-    NWOBS_COUNT("hyper_bfs.scout_count", 0, scout);
+    NWOBS_COUNT("hyper_bfs.scout_count", scout);
     NWOBS_GAUGE_MAX("hyper_bfs.frontier_density_permille", cur->density_permille());
     const std::size_t target_side = edge_side ? hypernodes.size() : hyperedges.size();
     if (!bottom_up && scout * alpha > edges_remaining) {
       bottom_up = true;
-      NWOBS_COUNT("hyper_bfs.direction_switches", 0, 1);
+      NWOBS_COUNT("hyper_bfs.direction_switches", 1);
     } else if (bottom_up && cur->size() < target_side / beta) {
       bottom_up = false;
-      NWOBS_COUNT("hyper_bfs.direction_switches", 0, 1);
+      NWOBS_COUNT("hyper_bfs.direction_switches", 1);
     }
     // Two call sites on purpose: NWOBS_COUNT caches its counter per site.
     if (bottom_up) {
-      NWOBS_COUNT("hyper_bfs.steps_bottom_up", 0, 1);
+      NWOBS_COUNT("hyper_bfs.steps_bottom_up", 1);
     } else {
-      NWOBS_COUNT("hyper_bfs.steps_top_down", 0, 1);
+      NWOBS_COUNT("hyper_bfs.steps_top_down", 1);
     }
     ++level;
     detail::expand_stats st;
     if (edge_side) {
       st = bottom_up ? detail::expand_bottom_up(hypernodes, *cur, *nxt, r.parents_node,
-                                                r.dist_node, level)
+                                                r.dist_node, level, pool)
                      : detail::expand_top_down(hyperedges, hypernodes, *cur, *nxt,
-                                               r.parents_node, r.dist_node, level);
+                                               r.parents_node, r.dist_node, level, pool);
     } else {
       st = bottom_up ? detail::expand_bottom_up(hyperedges, *cur, *nxt, r.parents_edge,
-                                                r.dist_edge, level)
+                                                r.dist_edge, level, pool)
                      : detail::expand_top_down(hypernodes, hyperedges, *cur, *nxt,
-                                               r.parents_edge, r.dist_edge, level);
+                                               r.parents_edge, r.dist_edge, level, pool);
     }
     edges_remaining -= std::min(edges_remaining, st.scanned);
     scout = st.scout;

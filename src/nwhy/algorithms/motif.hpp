@@ -98,7 +98,7 @@ motif_census count_motifs(const EGraph& hyperedges, const NGraph& hypernodes) {
     incident.clear();
     for (auto&& t : hypernodes[v]) incident.push_back(nw::graph::target(t));
     if (incident.size() < 2) return;
-    NWOBS_COUNT("motif.centers", tid, 1);
+    NWOBS_COUNT("motif.centers", 1);
     std::uint64_t local_wedges = 0, local_triads = 0, local_excess = 0, local_steps = 0;
     for (std::size_t i = 0; i < incident.size(); ++i) {
       for (std::size_t j = i + 1; j < incident.size(); ++j) {
@@ -112,8 +112,8 @@ motif_census count_motifs(const EGraph& hyperedges, const NGraph& hypernodes) {
     wedges.local(tid) += local_wedges;
     triads.local(tid) += local_triads;
     shared_excess.local(tid) += local_excess;
-    NWOBS_COUNT("motif.wedges_scanned", tid, local_wedges);
-    NWOBS_COUNT("motif.intersection_steps", tid, local_steps);
+    NWOBS_COUNT("motif.wedges_scanned", local_wedges);
+    NWOBS_COUNT("motif.intersection_steps", local_steps);
   });
   motif_census out;
   wedges.for_each([&](std::uint64_t& x) { out.wedges += x; });

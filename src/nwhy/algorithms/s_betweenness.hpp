@@ -105,8 +105,8 @@ void brandes_forward(const Graph& g, vertex_id_t s, brandes_scratch& ws, par::fr
   cur->assign_single(s);
   vertex_id_t level = 0;
   while (!cur->empty()) {
-    NWOBS_COUNT("betweenness.levels", 0, 1);
-    NWOBS_COUNT("betweenness.frontier_total", 0, cur->size());
+    NWOBS_COUNT("betweenness.levels", 1);
+    NWOBS_COUNT("betweenness.frontier_total", cur->size());
     const auto& ids = cur->ids();
     ++level;
     par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
@@ -120,7 +120,7 @@ void brandes_forward(const Graph& g, vertex_id_t s, brandes_scratch& ws, par::fr
           nxt->emit(tid, v);
         }
       }
-      NWOBS_COUNT("betweenness.edges_relaxed", tid, local);
+      NWOBS_COUNT("betweenness.edges_relaxed", local);
     });
     if (nxt->commit_sparse() == 0) break;
     const auto& next_ids = nxt->ids();
@@ -151,7 +151,7 @@ void brandes_backward(const Graph& g, const brandes_scratch& ws, std::vector<dou
   for (std::size_t lev = levels; lev-- > 1;) {
     const std::size_t lo = ws.level_start[lev];
     const std::size_t hi = ws.level_start[lev + 1];
-    par::parallel_for(lo, hi, [&](unsigned tid, std::size_t k) {
+    par::parallel_for(lo, hi, [&](std::size_t k) {
       vertex_id_t w   = ws.order[k];
       double      acc = 0.0;
       for (auto&& e : g[w]) {
@@ -161,7 +161,7 @@ void brandes_backward(const Graph& g, const brandes_scratch& ws, std::vector<dou
         }
       }
       delta[w] = acc;
-      NWOBS_COUNT("betweenness.dependencies", tid, 1);
+      NWOBS_COUNT("betweenness.dependencies", 1);
     });
   }
 }
@@ -203,12 +203,12 @@ std::vector<double> betweenness_over_sources(const Graph& g,
 
   for (std::size_t base = 0; base < sources.size(); base += batch) {
     const std::size_t width = std::min(batch, sources.size() - base);
-    NWOBS_COUNT("betweenness.batches", 0, 1);
+    NWOBS_COUNT("betweenness.batches", 1);
     for (std::size_t b = 0; b < width; ++b) {
       delta[b].assign(n, 0.0);
       detail::brandes_forward(g, sources[base + b], ws, f0, f1);
       detail::brandes_backward(g, ws, delta[b]);
-      NWOBS_COUNT("betweenness.sources", 0, 1);
+      NWOBS_COUNT("betweenness.sources", 1);
     }
     // One merge sweep per batch: each vertex sums its batch-slot deltas in
     // slot order, batches arrive in submission order — so the global

@@ -78,7 +78,7 @@ inline hyper_bfs_result hyper_bfs_sharded(sharded_snapshot& snap, vertex_id_t so
     for (std::size_t k = 0; k < K; ++k) {
       if (buckets[k].empty()) continue;
       auto view = snap.load_shard(k);
-      NWOBS_COUNT("shard.passes", 0, 1);
+      NWOBS_COUNT("shard.passes", 1);
       for (vertex_id_t e : buckets[k]) {
         for (vertex_id_t v : view.edge_row(e)) {
           if (r.dist_node[v] == null_vertex<>) {
@@ -100,7 +100,7 @@ inline hyper_bfs_result hyper_bfs_sharded(sharded_snapshot& snap, vertex_id_t so
     for (std::size_t k = 0; k < K; ++k) {
       if (unseen[k] == 0) continue;
       auto view = snap.load_shard(k);
-      NWOBS_COUNT("shard.passes", 0, 1);
+      NWOBS_COUNT("shard.passes", 1);
       ++touched;
       for (vertex_id_t v : node_frontier) {
         for (vertex_id_t e : view.node_row(v)) {
@@ -115,7 +115,7 @@ inline hyper_bfs_result hyper_bfs_sharded(sharded_snapshot& snap, vertex_id_t so
       }
     }
     if (touched > 1) {
-      NWOBS_COUNT("shard.spilled", 0, node_frontier.size() * (touched - 1));
+      NWOBS_COUNT("shard.spilled", node_frontier.size() * (touched - 1));
     }
   }
   snap.release_shard();
@@ -142,7 +142,7 @@ inline hyper_cc_result hyper_cc_sharded(sharded_snapshot& snap) {
     changed = false;
     for (std::size_t k = 0; k < K; ++k) {
       auto view = snap.load_shard(k);
-      NWOBS_COUNT("shard.passes", 0, 1);
+      NWOBS_COUNT("shard.passes", 1);
       // Relax within the shard to a local fixpoint before moving on — each
       // load then pays for as much propagation as the shard supports.
       bool local = true;

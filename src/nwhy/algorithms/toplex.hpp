@@ -75,8 +75,8 @@ std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypern
       std::size_t dj = hyperedges.degree(ej);
       if (dj > di || (dj == di && ej < ei)) dom = true;
     });
-    NWOBS_COUNT("toplex.dominance_checks", tid, checks);
-    NWOBS_COUNT("toplex.dominance_checks_skipped", tid, skipped);
+    NWOBS_COUNT("toplex.dominance_checks", checks);
+    NWOBS_COUNT("toplex.dominance_checks_skipped", skipped);
     dominated[i] = dom ? 1 : 0;
   });
 

@@ -642,9 +642,9 @@ public:
     std::vector<nw::vertex_id_t> stored(nv);
     par::parallel_for(
         0, targets_.num_blocks(),
-        [&]([[maybe_unused]] unsigned tid, std::size_t b) {
+        [&](std::size_t b) {
           targets_.decode_block(b, stored.data() + b * std::uint64_t{targets_.block_size()});
-          NWOBS_COUNT("csr.decode_blocks", tid, 1);
+          NWOBS_COUNT("csr.decode_blocks", 1);
         },
         par::blocked{}, pool);
     check_bound(stored);
@@ -685,7 +685,7 @@ private:
   void decode_block_checked(std::uint64_t b, std::vector<nw::vertex_id_t>& out) const {
     out.resize(targets_.block_values(b));
     targets_.decode_block(b, out.data());
-    NWOBS_COUNT("csr.decode_blocks", obs_slot(), 1);
+    NWOBS_COUNT("csr.decode_blocks", 1);
     check_bound(out);
     // contains() steers on the per-block min/max, so any block it decodes
     // must have *exact* metadata: a forged pair that widened the range
@@ -734,17 +734,6 @@ private:
   static std::uint64_t next_instance_id() {
     static std::atomic<std::uint64_t> counter{1};
     return counter.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Distinct nwobs counter slot per thread.  operator[] / contains() run on
-  /// whatever thread the traversal engine uses, with no pool worker id in
-  /// scope, so a fixed slot would be written concurrently; ids here never
-  /// repeat, and ids past counter::slot_capacity land on the atomic
-  /// overflow slot inside add().
-  [[maybe_unused]] static unsigned obs_slot() {
-    static std::atomic<unsigned> next{0};
-    thread_local const unsigned  slot = next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
   }
 
   [[nodiscard]] instance_cache& my_cache() const {
@@ -813,11 +802,11 @@ private:
         if (take_lo == b_lo && take_hi == b_lo + targets_.block_values(b)) {
           // Row covers the whole block: decode straight into the row buffer.
           targets_.decode_block(b, slot.values.data() + out);
-          NWOBS_COUNT("csr.decode_blocks", obs_slot(), 1);
+          NWOBS_COUNT("csr.decode_blocks", 1);
         } else {
           slot.block_buf.resize(targets_.block_values(b));
           targets_.decode_block(b, slot.block_buf.data());
-          NWOBS_COUNT("csr.decode_blocks", obs_slot(), 1);
+          NWOBS_COUNT("csr.decode_blocks", 1);
           std::memcpy(slot.values.data() + out, slot.block_buf.data() + (take_lo - b_lo),
                       (take_hi - take_lo) * sizeof(nw::vertex_id_t));
         }

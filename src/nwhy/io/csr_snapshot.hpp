@@ -674,7 +674,7 @@ inline compressed_adjacency make_compressed_view(
   }
   check_index_structure(idx, m, what, origin, pool);
   compressed_targets targets(payload, origin, payload_offset);
-  NWOBS_COUNT("csr.compressed_bytes", 0, payload.size());
+  NWOBS_COUNT("csr.compressed_bytes", payload.size());
   const bool have_refs = !refs.empty() || !dict_idx.empty();
   if (!have_refs) {
     if (targets.num_values() != m) {
@@ -941,7 +941,7 @@ inline shard_blob build_shard_blob(const biadjacency<0>& edges, const csr_shard_
                                                  s.count,   s.flags};
     blob.dir_words.insert(blob.dir_words.end(), w, w + shard_record_words);
   }
-  NWOBS_COUNT("io.shard_count", 0, blob.dir.size());
+  NWOBS_COUNT("io.shard_count", blob.dir.size());
   return blob;
 }
 
@@ -1114,7 +1114,7 @@ inline void write_csr_snapshot_impl(std::ostream& out, const biadjacency<0>& edg
                   static_cast<std::streamsize>(raws[i].length));
     pos = entries[i].offset + entries[i].length;
   }
-  NWOBS_COUNT("io.snapshot_bytes_written", 0, file_size);
+  NWOBS_COUNT("io.snapshot_bytes_written", file_size);
 }
 
 /// Full-options ostream overload; the narrower overloads below forward
@@ -1387,7 +1387,7 @@ inline csr_snapshot map_csr_snapshot(const std::string& path, bool verify_checks
   std::shared_ptr<const void> storage(base, [size](const void* p) {
     ::munmap(const_cast<void*>(p), size);
   });
-  NWOBS_COUNT("io.mapped_bytes", 0, size);
+  NWOBS_COUNT("io.mapped_bytes", size);
 
   const auto* bytes = static_cast<const unsigned char*>(base);
   auto        h     = d::parse_header(bytes, size, path);
@@ -1700,7 +1700,7 @@ inline csr_snapshot read_csr_snapshot(std::istream& in, const std::string& origi
     }
     d::validate_relabel_inv(snap.relabel_inv, h.n0, origin);
   }
-  NWOBS_COUNT("io.snapshot_bytes_read", 0, h.file_size);
+  NWOBS_COUNT("io.snapshot_bytes_read", h.file_size);
   return snap;
 }
 

@@ -149,7 +149,7 @@ public:
     const auto& s   = dir_[k];
     const bool  svb = (s.flags & d::shard_flag_svb) != 0;
     advise_window(s, /*loading=*/true);
-    NWOBS_COUNT("shard.bytes_loaded", 0, s.e2n_len + s.sub_len + s.n2e_len);
+    NWOBS_COUNT("shard.bytes_loaded", s.e2n_len + s.sub_len + s.n2e_len);
 
     shard_view v;
     v.e_begin   = static_cast<nw::vertex_id_t>(s.e_begin);
@@ -338,7 +338,7 @@ private:
     auto* p = const_cast<unsigned char*>(image() + lo);
     ::madvise(p, static_cast<std::size_t>(hi - lo), loading ? MADV_SEQUENTIAL : MADV_DONTNEED);
     if (loading) ::madvise(p, static_cast<std::size_t>(hi - lo), MADV_WILLNEED);
-    NWOBS_COUNT("shard.madvise_windows", 0, 1);
+    NWOBS_COUNT("shard.madvise_windows", 1);
 #else
     (void)s;
     (void)loading;

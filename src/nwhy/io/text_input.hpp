@@ -38,7 +38,7 @@ inline std::string read_file_to_string(const std::string& path) {
     }
   }
   std::fclose(f);
-  NWOBS_COUNT("io.parse_bytes", 0, text.size());
+  NWOBS_COUNT("io.parse_bytes", text.size());
   return text;
 }
 

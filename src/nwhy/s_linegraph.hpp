@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "nwgraph/adjacency.hpp"
-#include "nwgraph/algorithms/betweenness.hpp"
 #include "nwgraph/algorithms/bfs.hpp"
 #include "nwgraph/algorithms/closeness.hpp"
 #include "nwgraph/algorithms/connected_components.hpp"
@@ -145,15 +144,17 @@ public:
     return path;
   }
 
-  /// Listing 5 `s_betweenness_centrality(normalized)`.
+  /// Listing 5 `s_betweenness_centrality(normalized)`: exact Brandes over
+  /// every source, on the batched frontier engine
+  /// (nwhy/algorithms/s_betweenness.hpp) — bit-deterministic at every
+  /// thread count.
   [[nodiscard]] std::vector<double> s_betweenness_centrality(bool normalized = true) const {
-    return nw::graph::betweenness_centrality(graph_, normalized);
+    return betweenness_batched(graph_, normalized);
   }
 
-  /// Exact s-betweenness via the batched frontier Brandes engine
-  /// (nwhy/algorithms/s_betweenness.hpp): same conventions as
-  /// s_betweenness_centrality, but bit-deterministic at every thread count.
-  /// `batch` bounds scratch memory (0 = NWHY_BETWEENNESS_BATCH).
+  /// s_betweenness_centrality with an explicit batch size: `batch` bounds
+  /// scratch memory (0 = NWHY_BETWEENNESS_BATCH) and never changes the
+  /// scores.
   [[nodiscard]] std::vector<double> s_betweenness_centrality_batched(
       bool normalized = true, std::size_t batch = 0) const {
     return betweenness_batched(graph_, normalized, batch);
@@ -172,21 +173,11 @@ public:
     return nw::graph::closeness_centrality(graph_);
   }
   /// Single-vertex overload: one BFS from `v` (O(n + m)), not the
-  /// all-sources sweep (O(n·(n + m))) indexed at one element.  The
-  /// aggregation mirrors nw::graph::closeness_centrality exactly, so the
-  /// two spellings agree (asserted by tests/test_smetrics.cpp).
+  /// all-sources sweep (O(n·(n + m))) indexed at one element.  Both
+  /// spellings use the same fold, nw::graph::closeness_of, so they agree.
   [[nodiscard]] double s_closeness_centrality(vertex_id_t v) const {
     check_vertex(v, "s_closeness_centrality");
-    auto        dist      = nw::graph::bfs_distances(graph_, v);
-    double      total     = 0.0;
-    std::size_t reachable = 0;
-    for (auto d : dist) {
-      if (d != null_vertex<> && d != 0) {
-        total += static_cast<double>(d);
-        ++reachable;
-      }
-    }
-    return total > 0 ? static_cast<double>(reachable) / total : 0.0;
+    return nw::graph::closeness_of(nw::graph::bfs_distances(graph_, v));
   }
 
   /// Listing 5 `s_harmonic_closeness_centrality(v)`.
@@ -196,12 +187,7 @@ public:
   /// Single-vertex overload: one BFS from `v` instead of n of them.
   [[nodiscard]] double s_harmonic_closeness_centrality(vertex_id_t v) const {
     check_vertex(v, "s_harmonic_closeness_centrality");
-    auto   dist  = nw::graph::bfs_distances(graph_, v);
-    double total = 0.0;
-    for (auto d : dist) {
-      if (d != null_vertex<> && d != 0) total += 1.0 / static_cast<double>(d);
-    }
-    return total;
+    return nw::graph::harmonic_of(nw::graph::bfs_distances(graph_, v));
   }
 
   /// Listing 5 `s_eccentricity(v)`.
@@ -211,12 +197,7 @@ public:
   /// Single-vertex overload: one BFS from `v` instead of n of them.
   [[nodiscard]] vertex_id_t s_eccentricity(vertex_id_t v) const {
     check_vertex(v, "s_eccentricity");
-    auto        dist = nw::graph::bfs_distances(graph_, v);
-    vertex_id_t ecc  = 0;
-    for (auto d : dist) {
-      if (d != null_vertex<>) ecc = std::max(ecc, d);
-    }
-    return ecc;
+    return nw::graph::eccentricity_of(nw::graph::bfs_distances(graph_, v));
   }
 
   /// s-diameter: the largest eccentricity among active entities (the

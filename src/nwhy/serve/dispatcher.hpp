@@ -95,7 +95,7 @@ public:
     }
 #endif
     for (unsigned t = 0; t < threads_; ++t) {
-      workers_.emplace_back([this, t] { worker_loop(t); });
+      workers_.emplace_back([this] { worker_loop(); });
     }
   }
 
@@ -125,7 +125,7 @@ public:
       std::lock_guard lock(queue_mu_);
       if (stopping_ || queue_.size() >= capacity_) {
         rejected_busy_.fetch_add(1, std::memory_order_relaxed);
-        NWOBS_COUNT("serve.rejected_busy", nw::obs::counter::slot_capacity, 1);
+        NWOBS_COUNT("serve.rejected_busy", 1);
         return false;
       }
       queue_.push_back(std::move(item));
@@ -248,7 +248,7 @@ private:
       "serve.req.centrality", "serve.req.sleep_debug", "serve.req.other",
   };
 
-  void count_request(unsigned tid, opcode op) {
+  void count_request(opcode op) {
     std::size_t idx;
     switch (op) {
       case opcode::ping: idx = 0; break;
@@ -262,14 +262,13 @@ private:
       default: idx = 8; break;
     }
 #if NWHY_OBS
-    counters_[idx]->add(tid, 1);
+    counters_[idx]->add(1);
 #else
-    (void)tid;
     (void)idx;
 #endif
   }
 
-  void worker_loop(unsigned tid) {
+  void worker_loop() {
     for (;;) {
       work_item item;
       {
@@ -286,16 +285,16 @@ private:
           continue;
         }
       }
-      count_request(tid, item.op);
+      count_request(item.op);
       if (item.deadline.expired()) {
         finish(item, error_reply(status::deadline_exceeded, "deadline passed in queue"));
         continue;
       }
-      run(tid, std::move(item));
+      run(std::move(item));
     }
   }
 
-  void run(unsigned tid, work_item item) {
+  void run(work_item item) {
     if (!coalescable(item.op)) {
       finish(item, execute(item));
       return;
@@ -329,7 +328,7 @@ private:
       finish(item, std::move(reply));
     } else {
       coalesced_.fetch_add(1, std::memory_order_relaxed);
-      NWOBS_COUNT("serve.coalesced", tid, 1);
+      NWOBS_COUNT("serve.coalesced", 1);
       std::unique_lock lock(state->mu);
       if (auto when = item.deadline.when()) {
         if (!state->cv.wait_until(lock, *when, [&] { return state->finished; })) {
@@ -379,7 +378,7 @@ private:
   void finish(const work_item& item, reply_data reply) {
     if (reply.st == status::deadline_exceeded) {
       deadlines_.fetch_add(1, std::memory_order_relaxed);
-      NWOBS_COUNT("serve.deadline_exceeded", nw::obs::counter::slot_capacity, 1);
+      NWOBS_COUNT("serve.deadline_exceeded", 1);
     }
     const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - item.enqueued)

@@ -173,8 +173,8 @@ nw::graph::edge_list<> to_two_graph_naive(const EGraph& edges, const NGraph& nod
         ++emitted;
       }
     }
-    NWOBS_COUNT("slinegraph.candidate_pairs", tid, candidates);
-    NWOBS_COUNT("slinegraph.pairs_emitted", tid, emitted);
+    NWOBS_COUNT("slinegraph.candidate_pairs", candidates);
+    NWOBS_COUNT("slinegraph.pairs_emitted", emitted);
   });
   return detail::materialize_edge_list(out, ne);
 }
@@ -188,7 +188,7 @@ namespace detail {
 template <bool Verify, class EGraph, class NGraph>
 void intersect_process_edge(const EGraph& edges, const NGraph& nodes,
                             const std::vector<std::size_t>& edge_degrees, std::size_t s,
-                            vertex_id_t ei, unsigned tid, std::vector<vertex_id_t>& seen,
+                            vertex_id_t ei, std::vector<vertex_id_t>& seen,
                             std::vector<pair_t>& out) {
   if (edge_degrees[ei] < s) return;
   std::size_t candidates = 0, emitted = 0;
@@ -210,8 +210,8 @@ void intersect_process_edge(const EGraph& edges, const NGraph& nodes,
       }
     }
   }
-  NWOBS_COUNT("slinegraph.candidate_pairs", tid, candidates);
-  if constexpr (Verify) NWOBS_COUNT("slinegraph.pairs_emitted", tid, emitted);
+  NWOBS_COUNT("slinegraph.candidate_pairs", candidates);
+  if constexpr (Verify) NWOBS_COUNT("slinegraph.pairs_emitted", emitted);
 }
 
 }  // namespace detail
@@ -237,8 +237,8 @@ nw::graph::edge_list<> to_two_graph_intersection(const EGraph& edges, const NGra
       0, ne,
       [&](unsigned tid, std::size_t i) {
         detail::intersect_process_edge<true>(edges, nodes, edge_degrees, s,
-                                             static_cast<vertex_id_t>(i), tid,
-                                             stamps.local(tid), out.local(tid));
+                                             static_cast<vertex_id_t>(i), stamps.local(tid),
+                                             out.local(tid));
       },
       part);
   return detail::materialize_edge_list(out, bound);
@@ -249,14 +249,11 @@ namespace detail {
 /// Shared kernel of the hashmap-counting algorithms: process one hyperedge
 /// `ei`, counting overlaps with every larger-id hyperedge reachable through
 /// a shared hypernode, then emit pairs whose count reaches s.
-/// `tid` is the worker id, used only for the observability counters
-/// (hashmap probes, candidate pairs = distinct keys counted, pairs emitted).
 template <class EGraph, class NGraph>
 void hashmap_process_edge(const EGraph& edges, const NGraph& nodes,
                           const std::vector<std::size_t>& edge_degrees, std::size_t s,
-                          vertex_id_t ei, unsigned tid, counting_hashmap<>& overlap,
+                          vertex_id_t ei, counting_hashmap<>& overlap,
                           std::vector<std::pair<vertex_id_t, vertex_id_t>>& out) {
-  (void)tid;
   if (edge_degrees[ei] < s) return;
   overlap.clear();
   std::size_t probes = 0;
@@ -277,9 +274,9 @@ void hashmap_process_edge(const EGraph& edges, const NGraph& nodes,
       ++emitted;
     }
   });
-  NWOBS_COUNT("slinegraph.hashmap_probes", tid, probes);
-  NWOBS_COUNT("slinegraph.candidate_pairs", tid, overlap.size());
-  NWOBS_COUNT("slinegraph.pairs_emitted", tid, emitted);
+  NWOBS_COUNT("slinegraph.hashmap_probes", probes);
+  NWOBS_COUNT("slinegraph.candidate_pairs", overlap.size());
+  NWOBS_COUNT("slinegraph.pairs_emitted", emitted);
 }
 
 /// Counting phase of the hashmap algorithm: fills (and returns) the
@@ -295,7 +292,7 @@ par::per_thread<std::vector<pair_t>>& hashmap_collect(
   par::parallel_for(
       0, ne,
       [&](unsigned tid, std::size_t i) {
-        hashmap_process_edge(edges, nodes, edge_degrees, s, static_cast<vertex_id_t>(i), tid,
+        hashmap_process_edge(edges, nodes, edge_degrees, s, static_cast<vertex_id_t>(i),
                              maps.local(tid), out.local(tid));
       },
       part);
@@ -346,7 +343,7 @@ nw::graph::edge_list<> to_two_graph_queue_hashmap(std::span<const vertex_id_t> q
   par::parallel_for(
       0, queue.size(),
       [&](unsigned tid, std::size_t qi) {
-        detail::hashmap_process_edge(edges, nodes, edge_degrees, s, queue[qi], tid,
+        detail::hashmap_process_edge(edges, nodes, edge_degrees, s, queue[qi],
                                      maps.local(tid), out.local(tid));
       },
       part);
@@ -374,7 +371,7 @@ nw::graph::edge_list<> to_two_graph_queue_intersection(
   par::parallel_for(
       0, queue.size(),
       [&](unsigned tid, std::size_t qi) {
-        detail::intersect_process_edge<false>(edges, nodes, edge_degrees, s, queue[qi], tid,
+        detail::intersect_process_edge<false>(edges, nodes, edge_degrees, s, queue[qi],
                                               stamps.local(tid), pair_queues.local(tid));
       },
       part);
@@ -391,7 +388,7 @@ nw::graph::edge_list<> to_two_graph_queue_intersection(
         auto [ei, ej] = pairs[k];
         if (intersection_size(edges[ei], edges[ej], s) >= s) {
           out.local(tid).push_back({ei, ej});
-          NWOBS_COUNT("slinegraph.pairs_emitted", tid, 1);
+          NWOBS_COUNT("slinegraph.pairs_emitted", 1);
         }
       },
       part);

@@ -1,10 +1,13 @@
 // nwhy/slinegraph/implicit.hpp
 //
-// Implicit s-line-graph traversal: s-BFS and s-connected-components that
-// never materialize L_s(H).  The s-neighborhood of a hyperedge is
-// discovered on the fly by hashmap overlap counting — the same kernel the
-// construction algorithms use, but the pairs are consumed immediately
-// instead of stored.
+// Implicit s-line-graph traversal: s-BFS distances, s-distance,
+// s-connected-components and s-neighbors that never materialize L_s(H).
+// The s-neighborhood of a hyperedge is discovered on the fly by hashmap
+// overlap counting — the same kernel the construction algorithms use, but
+// the pairs are consumed immediately instead of stored.  Every traversal
+// runs on one level loop (detail::s_bfs_flood), which takes the thread
+// pool and a stop hook as parameters; the query server calls these same
+// engines on a one-context pool with its deadline as the hook.
 //
 // Why it exists: the clique-expansion/line-graph blow-up the paper
 // discusses (Sec. III-B.3) applies to L_1 of dense hypergraphs too — on
@@ -15,10 +18,13 @@
 // `bench_ablation_implicit` quantifies the crossover.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <optional>
 #include <vector>
 
 #include "nwhy/slinegraph/construction.hpp"
+#include "nwpar/cancel.hpp"
 #include "nwpar/frontier.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/atomics.hpp"
@@ -46,99 +52,135 @@ void for_each_s_neighbor(const EGraph& edges, const NGraph& nodes,
   });
 }
 
+/// Scratch of the implicit s-BFS: per-thread overlap maps and the frontier
+/// pair.  Kept across levels and, for s-CC, across floods, so once a
+/// traversal reaches its high-water mark no level allocates.
+struct s_bfs_scratch {
+  s_bfs_scratch(std::size_t ne, par::thread_pool& p)
+      : pool(p), maps(p), frontier(ne, p), next(ne, p) {}
+
+  par::thread_pool&                   pool;
+  par::per_thread<counting_hashmap<>> maps;
+  par::frontier                       frontier, next;
+};
+
+/// The implicit s-BFS level loop, shared by every engine below.  Floods
+/// from `src`, which the caller has already claimed in `mark`.  Each level
+/// expands its frontier in parallel and claims undiscovered s-neighbors by
+/// CAS, writing `claim(level)` into `mark`: the level for distances, the
+/// seed for component labels.  When `target` is claimed, the remaining
+/// vertices of that frontier are skipped and the flood returns true
+/// (`null_vertex` = no target).  `stop` is polled once per frontier vertex;
+/// a fired poll ends the level early and throws par::cancelled here, on
+/// the calling thread.
+template <class EGraph, class NGraph, class Claim, class Stop>
+bool s_bfs_flood(const EGraph& edges, const NGraph& nodes,
+                 const std::vector<std::size_t>& edge_degrees, std::size_t s, vertex_id_t src,
+                 std::vector<vertex_id_t>& mark, Claim claim, vertex_id_t target,
+                 s_bfs_scratch& ws, Stop& stop) {
+  ws.frontier.assign_single(src);
+  vertex_id_t level = 0;
+  while (!ws.frontier.empty()) {
+    const vertex_id_t     value = claim(++level);
+    std::atomic<bool>     found{false};
+    par::stop_latch<Stop> halt(stop);
+    const auto&           ids = ws.frontier.ids();
+    par::parallel_for(
+        0, ids.size(),
+        [&](unsigned tid, std::size_t i) {
+          if (found.load(std::memory_order_relaxed) || halt.poll()) return;
+          for_each_s_neighbor(edges, nodes, edge_degrees, s, ids[i], ws.maps.local(tid),
+                              [&](vertex_id_t ej) {
+                                if (atomic_load(mark[ej]) == null_vertex<> &&
+                                    compare_and_swap(mark[ej], null_vertex<>, value)) {
+                                  if (ej == target) found.store(true, std::memory_order_relaxed);
+                                  ws.next.emit(tid, ej);
+                                }
+                              });
+        },
+        par::blocked{}, ws.pool);
+    halt.throw_if_fired();
+    ws.next.commit_sparse();
+    if (found.load()) return true;
+    ws.frontier.swap(ws.next);
+  }
+  return false;
+}
+
 }  // namespace detail
 
-/// s-connected components without materializing the line graph: BFS floods
-/// from every still-unlabeled active hyperedge; each flood's frontier
-/// expansion is parallel (per-thread hashmaps, CAS label claims).
-/// Inactive hyperedges (fewer than s hypernodes) get null_vertex, matching
-/// s_linegraph::s_connected_components.
-template <class EGraph, class NGraph>
+/// s-connected components without materializing the line graph: a flood
+/// from every still-unlabeled active hyperedge in ascending id order, so
+/// each component is labeled with its smallest id.  Inactive hyperedges
+/// (fewer than s hypernodes) get null_vertex, matching
+/// s_linegraph::s_connected_components.  `stop` is polled once per
+/// frontier vertex (see detail::s_bfs_flood).
+template <class EGraph, class NGraph, class Stop = par::never_stop>
 std::vector<vertex_id_t> s_connected_components_implicit(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
-    std::size_t s) {
+    std::size_t s, Stop stop = {}, par::thread_pool& pool = par::thread_pool::default_pool()) {
   const std::size_t        ne = edges.size();
   std::vector<vertex_id_t> comp(ne, null_vertex<>);
-  par::per_thread<counting_hashmap<>> maps;
-  // One frontier pair for the whole flood: the par::frontier keeps its id
-  // vector and per-thread emission buffers across levels *and* seeds, so
-  // after the first flood reaches its high-water mark no level allocates.
-  par::frontier frontier(ne), next(ne);
-
+  detail::s_bfs_scratch    ws(ne, pool);
   for (std::size_t seed = 0; seed < ne; ++seed) {
     if (edge_degrees[seed] < s || comp[seed] != null_vertex<>) continue;
-    comp[seed] = static_cast<vertex_id_t>(seed);
-    frontier.assign_single(static_cast<vertex_id_t>(seed));
-    while (!frontier.empty()) {
-      const auto& ids = frontier.ids();
-      par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
-        detail::for_each_s_neighbor(edges, nodes, edge_degrees, s, ids[i], maps.local(tid),
-                                    [&](vertex_id_t ej) {
-                                      if (atomic_load(comp[ej]) == null_vertex<> &&
-                                          compare_and_swap(comp[ej], null_vertex<>,
-                                                           static_cast<vertex_id_t>(seed))) {
-                                        next.emit(tid, ej);
-                                      }
-                                    });
-      });
-      next.commit_sparse();
-      frontier.swap(next);
-    }
+    const auto label = static_cast<vertex_id_t>(seed);
+    comp[seed]       = label;
+    detail::s_bfs_flood(edges, nodes, edge_degrees, s, label, comp,
+                        [label](vertex_id_t) { return label; }, null_vertex<>, ws, stop);
   }
   return comp;
 }
 
+/// Distances from `src` in the (never materialized) s-line graph: the array
+/// nw::graph::bfs_distances would return on L_s(H), with dist[src] = 0 and
+/// null_vertex for unreached hyperedges.
+template <class EGraph, class NGraph, class Stop = par::never_stop>
+std::vector<vertex_id_t> s_bfs_distances_implicit(
+    const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
+    std::size_t s, vertex_id_t src, Stop stop = {},
+    par::thread_pool& pool = par::thread_pool::default_pool()) {
+  std::vector<vertex_id_t> dist(edges.size(), null_vertex<>);
+  dist[src] = 0;
+  detail::s_bfs_scratch ws(edges.size(), pool);
+  detail::s_bfs_flood(edges, nodes, edge_degrees, s, src, dist,
+                      [](vertex_id_t level) { return level; }, null_vertex<>, ws, stop);
+  return dist;
+}
+
 /// s-distance between two hyperedges without materializing the line graph;
 /// nullopt when unreachable (or either endpoint inactive or out of range).
-template <class EGraph, class NGraph>
-std::optional<std::size_t> s_distance_implicit(const EGraph& edges, const NGraph& nodes,
-                                               const std::vector<std::size_t>& edge_degrees,
-                                               std::size_t s, vertex_id_t src,
-                                               vertex_id_t dst) {
+/// The traversal ends at the level that reaches `dst`.
+template <class EGraph, class NGraph, class Stop = par::never_stop>
+std::optional<std::size_t> s_distance_implicit(
+    const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
+    std::size_t s, vertex_id_t src, vertex_id_t dst, Stop stop = {},
+    par::thread_pool& pool = par::thread_pool::default_pool()) {
   if (src >= edge_degrees.size() || dst >= edge_degrees.size()) return std::nullopt;
   if (edge_degrees[src] < s || edge_degrees[dst] < s) return std::nullopt;
   if (src == dst) return 0;
-  const std::size_t        ne = edges.size();
-  std::vector<vertex_id_t> dist(ne, null_vertex<>);
+  std::vector<vertex_id_t> dist(edges.size(), null_vertex<>);
   dist[src] = 0;
-  par::per_thread<counting_hashmap<>> maps;
-  // Hoisted out of the level loop; the frontier's id vector and per-thread
-  // emission buffers keep capacity across levels.
-  par::frontier frontier(ne), next(ne);
-  frontier.assign_single(src);
-  vertex_id_t level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    std::atomic<bool> found{false};
-    const auto&       ids = frontier.ids();
-    par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
-      detail::for_each_s_neighbor(edges, nodes, edge_degrees, s, ids[i], maps.local(tid),
-                                  [&](vertex_id_t ej) {
-                                    if (atomic_load(dist[ej]) == null_vertex<> &&
-                                        compare_and_swap(dist[ej], null_vertex<>, level)) {
-                                      if (ej == dst) found.store(true);
-                                      next.emit(tid, ej);
-                                    }
-                                  });
-    });
-    if (found.load()) return static_cast<std::size_t>(level);
-    next.commit_sparse();
-    frontier.swap(next);
+  detail::s_bfs_scratch ws(edges.size(), pool);
+  if (!detail::s_bfs_flood(edges, nodes, edge_degrees, s, src, dist,
+                           [](vertex_id_t level) { return level; }, dst, ws, stop)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return static_cast<std::size_t>(dist[dst]);
 }
 
-/// Degree of a hyperedge in the (never-built) s-line graph.
+/// The s-neighbors of hyperedge `ei`, ascending: the row the materialized
+/// s_linegraph::s_neighbors returns.
 template <class EGraph, class NGraph>
-std::size_t s_degree_implicit(const EGraph& edges, const NGraph& nodes,
-                              const std::vector<std::size_t>& edge_degrees, std::size_t s,
-                              vertex_id_t ei) {
-  if (edge_degrees[ei] < s) return 0;
-  counting_hashmap<> overlap;
-  std::size_t        degree = 0;
+std::vector<vertex_id_t> s_neighbors_implicit(const EGraph& edges, const NGraph& nodes,
+                                              const std::vector<std::size_t>& edge_degrees,
+                                              std::size_t s, vertex_id_t ei) {
+  std::vector<vertex_id_t> out;
+  counting_hashmap<>       overlap;
   detail::for_each_s_neighbor(edges, nodes, edge_degrees, s, ei, overlap,
-                              [&](vertex_id_t) { ++degree; });
-  return degree;
+                              [&](vertex_id_t ej) { out.push_back(ej); });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace nw::hypergraph

@@ -5,15 +5,16 @@
 // construction, toplexes).  Design goals, in order:
 //
 //   1. No atomics on the hot path.  A `counter` owns one cache-line-padded
-//      slot per worker id — the same padded-slot idiom as
-//      nw::par::per_thread — and workers bump their own slot with a plain
-//      add.  Slots are merged only on read.
-//   2. Survive thread-pool resizing.  The benchmark harness calls
-//      thread_pool::set_default_concurrency() mid-process, so unlike
-//      per_thread (sized from the pool at construction) a counter carries a
-//      fixed slot capacity; worker ids beyond it (never seen in practice —
-//      the sweep tops out at the machine's hardware concurrency) fall back
-//      to one relaxed atomic.
+//      slot per OS thread — the same padded-slot idiom as
+//      nw::par::per_thread — and each thread bumps its own slot with a
+//      plain add.  Slots are merged only on read.
+//   2. Independent of who runs the code.  The slot is a `thread_local`
+//      index assigned on a thread's first count, not a pool worker id: two
+//      threads that each drive an engine on their own one-context pool both
+//      run as worker 0, and must still never share a slot.  A counter
+//      carries a fixed slot capacity; threads past it (a process that has
+//      started more than slot_capacity counting threads) fall back to one
+//      relaxed atomic.
 //   3. Compile-time no-op.  Building with -DNWHY_OBS=0 turns every NWOBS_*
 //      macro into `((void)0)`: no registry lookups, no slot traffic, no
 //      static-init guards — the acceptance bar is < 2% timing delta against
@@ -40,15 +41,24 @@
 
 namespace nw::obs {
 
-/// Monotonic counter: per-worker padded slots, merged on read.
-/// `add(tid, n)` is wait-free and atomic-free for tid < slot_capacity.
+/// This thread's counter slot: assigned once per OS thread, in first-use
+/// order, and never reused, so no two threads ever write the same slot.
+inline unsigned this_thread_slot() noexcept {
+  static std::atomic<unsigned> next{0};
+  thread_local const unsigned  slot = next.fetch_add(1, std::memory_order_relaxed);
+  return slot;
+}
+
+/// Monotonic counter: per-thread padded slots, merged on read.  `add(n)` is
+/// wait-free, and atomic-free on threads whose slot is below slot_capacity.
 class counter {
 public:
   static constexpr unsigned slot_capacity = 128;
 
-  void add(unsigned tid, std::uint64_t n = 1) noexcept {
-    if (tid < slot_capacity) {
-      slots_[tid].v += n;
+  void add(std::uint64_t n = 1) noexcept {
+    const unsigned slot = this_thread_slot();
+    if (slot < slot_capacity) {
+      slots_[slot].v += n;
     } else {
       overflow_.fetch_add(n, std::memory_order_relaxed);
     }
@@ -192,14 +202,14 @@ private:
 // ---------------------------------------------------------------------------
 #if NWHY_OBS
 
-/// Add `n` to counter `name` from worker `tid`.  The registry lookup happens
-/// once per call site (function-local static); the increment itself is a
-/// plain add into a per-worker padded slot.
-#define NWOBS_COUNT(name, tid, n)                                                      \
+/// Add `n` to counter `name`.  The registry lookup happens once per call
+/// site (function-local static); the increment itself is a plain add into
+/// the calling thread's padded slot.
+#define NWOBS_COUNT(name, n)                                                           \
   do {                                                                                 \
     static ::nw::obs::counter& nwobs_counter_ =                                        \
         ::nw::obs::registry::get().get_counter(name);                                  \
-    nwobs_counter_.add((tid), static_cast<std::uint64_t>(n));                          \
+    nwobs_counter_.add(static_cast<std::uint64_t>(n));                                 \
   } while (0)
 
 /// Overwrite gauge `name` with `v` (coordinating-thread call sites only).
@@ -218,7 +228,7 @@ private:
 
 #else  // NWHY_OBS == 0: every instrumentation site compiles to nothing.
 
-#define NWOBS_COUNT(name, tid, n) ((void)0)
+#define NWOBS_COUNT(name, n) ((void)0)
 #define NWOBS_GAUGE_SET(name, v) ((void)0)
 #define NWOBS_GAUGE_MAX(name, v) ((void)0)
 

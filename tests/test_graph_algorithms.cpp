@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "nwgraph/algorithms/betweenness.hpp"
 #include "nwgraph/algorithms/bfs.hpp"
 #include "nwgraph/algorithms/closeness.hpp"
 #include "nwgraph/algorithms/connected_components.hpp"
@@ -14,10 +13,13 @@
 #include "nwgraph/algorithms/pagerank.hpp"
 #include "nwgraph/algorithms/sssp.hpp"
 #include "nwgraph/algorithms/triangle_count.hpp"
+#include "nwhy/algorithms/s_betweenness.hpp"
 #include "prop_harness.hpp"
 #include "test_util.hpp"
 
 using namespace nw::graph;
+using nw::hypergraph::betweenness_batched;
+using nw::hypergraph::betweenness_sampled;
 using nw::vertex_id_t;
 using nwtest::random_graph;
 using nwtest::reference_bfs_distances;
@@ -285,7 +287,7 @@ TEST(Sssp, KnownSmallGraph) {
 
 TEST(Betweenness, PathGraphCenterDominates) {
   auto g  = path_graph(5);  // 0-1-2-3-4
-  auto bc = betweenness_centrality(g, /*normalized=*/false);
+  auto bc = betweenness_batched(g, /*normalized=*/false);
   EXPECT_DOUBLE_EQ(bc[0], 0.0);
   EXPECT_DOUBLE_EQ(bc[1], 3.0);  // pairs (0,2), (0,3), (0,4)
   EXPECT_DOUBLE_EQ(bc[2], 4.0);  // pairs (0,3), (0,4), (1,3), (1,4)
@@ -295,7 +297,7 @@ TEST(Betweenness, PathGraphCenterDominates) {
 
 TEST(Betweenness, StarCenterTakesAll) {
   auto g  = star_graph(6);
-  auto bc = betweenness_centrality(g, /*normalized=*/false);
+  auto bc = betweenness_batched(g, /*normalized=*/false);
   EXPECT_DOUBLE_EQ(bc[0], 15.0);  // C(6,2) pairs all route through the hub
   for (std::size_t v = 1; v < g.size(); ++v) EXPECT_DOUBLE_EQ(bc[v], 0.0);
 }
@@ -308,14 +310,14 @@ TEST(Betweenness, CycleIsUniform) {
   }
   el.sort_and_unique();
   adjacency<> g(el);
-  auto        bc = betweenness_centrality(g, false);
+  auto        bc = betweenness_batched(g, false);
   for (std::size_t v = 1; v < 6; ++v) EXPECT_NEAR(bc[v], bc[0], 1e-12);
 }
 
 TEST(Betweenness, NormalizationScales) {
   auto g   = star_graph(6);
-  auto raw = betweenness_centrality(g, false);
-  auto nrm = betweenness_centrality(g, true);
+  auto raw = betweenness_batched(g, false);
+  auto nrm = betweenness_batched(g, true);
   double scale = 2.0 / (6.0 * 5.0);  // n = 7
   EXPECT_NEAR(nrm[0], raw[0] * scale, 1e-12);
 }
@@ -329,15 +331,15 @@ TEST(Betweenness, SplitShortestPathsShareCredit) {
   }
   el.sort_and_unique();
   adjacency<> g(el);
-  auto        bc = betweenness_centrality(g, false);
+  auto        bc = betweenness_batched(g, false);
   for (std::size_t v = 0; v < 4; ++v) EXPECT_NEAR(bc[v], 0.5, 1e-12);
 }
 
 TEST(Betweenness, ApproxConvergesToExactOnFullSampling) {
   auto        el = random_graph(60, 200, 77);
   adjacency<> g(el);
-  auto        exact  = betweenness_centrality(g, false);
-  auto        approx = betweenness_centrality_approx(g, g.size(), 42);
+  auto        exact  = betweenness_batched(g, false);
+  auto        approx = betweenness_sampled(g, g.size(), 42);
   // Full sampling with replacement is unbiased but not exact; demand the top
   // vertex agrees and the scale is in the right ballpark.
   auto imax_exact  = std::max_element(exact.begin(), exact.end()) - exact.begin();

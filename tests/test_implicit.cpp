@@ -1,10 +1,16 @@
 // tests/test_implicit.cpp — implicit s-line traversal (no materialized
-// line graph) against the materialized facade, plus the configuration-
-// model generator and the parallel CSR builder's determinism.
+// line graph) against the materialized facade, the engines' cancellation
+// contract, plus the configuration-model generator and the parallel CSR
+// builder's determinism.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <utility>
+
+#include "nwhy/algorithms/hyper_bfs.hpp"
 #include "nwhy/nwhypergraph.hpp"
 #include "nwhy/slinegraph/implicit.hpp"
+#include "nwpar/cancel.hpp"
 #include "test_util.hpp"
 
 using namespace nw::hypergraph;
@@ -79,10 +85,101 @@ TEST(Implicit, SDegreeMatchesMaterialized) {
   for (std::size_t s : {1, 2}) {
     auto lg = hg.make_s_linegraph(s);
     for (vertex_id_t e = 0; e < hg.num_hyperedges(); e += 7) {
-      EXPECT_EQ(s_degree_implicit(he, hn, hg.edge_sizes(), s, e), lg.s_degree(e))
-          << "e=" << e << " s=" << s;
+      auto nbrs = s_neighbors_implicit(he, hn, hg.edge_sizes(), s, e);
+      EXPECT_EQ(nbrs.size(), lg.s_degree(e)) << "e=" << e << " s=" << s;
+      EXPECT_EQ(nbrs, lg.s_neighbors(e)) << "e=" << e << " s=" << s;
     }
   }
+}
+
+// --- cancellation contract -------------------------------------------------------
+//
+// Every engine takes a stop hook.  A hook that fires must end the engine
+// with par::cancelled thrown on the calling thread, whichever poll fires
+// and however many workers the pool has; a hook that never fires must not
+// change the result.
+
+namespace {
+
+/// Stop hook: counts its polls and fires on every poll after the first `k`.
+struct fire_after {
+  std::atomic<std::size_t>* polls;
+  std::size_t               k;
+  bool operator()() const { return polls->fetch_add(1, std::memory_order_relaxed) >= k; }
+};
+
+/// `run(hook)` runs one engine with `hook` and returns its result.
+template <class Run>
+void expect_cancellation_contract(Run run, const char* engine) {
+  SCOPED_TRACE(engine);
+  std::atomic<std::size_t> polls{0};
+  const auto silent = run(fire_after{&polls, ~std::size_t{0}});
+  const std::size_t n = polls.load();
+  ASSERT_GT(n, 1u) << "the engine never polled its hook";
+  EXPECT_EQ(silent, run(nw::par::never_stop{})) << "a hook that never fires changed the result";
+  for (std::size_t k : {std::size_t{0}, n / 2, n - 1}) {
+    polls = 0;
+    EXPECT_THROW((void)run(fire_after{&polls, k}), nw::par::cancelled) << "k=" << k;
+  }
+}
+
+}  // namespace
+
+class ImplicitCancel : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ImplicitCancel, FiredHookThrowsFromCallerSilentHookChangesNothing) {
+  nw::par::thread_pool pool(GetParam());
+  // A random hypergraph plus one hyperedge on hypernodes of its own, so
+  // s-distance to it is a full, deterministic flood of the other component.
+  auto el = gen::uniform_random_hypergraph(400, 300, 6, 5);
+  const auto isolated = static_cast<vertex_id_t>(el.num_vertices(0));
+  for (vertex_id_t v = 0; v < 3; ++v) {
+    el.push_back(isolated, static_cast<vertex_id_t>(el.num_vertices(1)));
+  }
+  NWHypergraph      hg(std::move(el));
+  const auto&       E   = hg.hyperedges();
+  const auto&       N   = hg.hypernodes();
+  const auto&       deg = hg.edge_sizes();
+  const std::size_t s   = 2;
+
+  expect_cancellation_contract(
+      [&](auto hook) { return s_distance_implicit(E, N, deg, s, 0, isolated, hook, pool); },
+      "s_distance_implicit");
+  expect_cancellation_contract(
+      [&](auto hook) { return s_connected_components_implicit(E, N, deg, s, hook, pool); },
+      "s_connected_components_implicit");
+  expect_cancellation_contract(
+      [&](auto hook) { return s_bfs_distances_implicit(E, N, deg, s, 0, hook, pool); },
+      "s_bfs_distances_implicit");
+  expect_cancellation_contract(
+      [&](auto hook) {
+        auto r = hyper_bfs(E, N, 0, 0, 0, hook, pool);
+        return std::pair(r.dist_edge, r.dist_node);  // parents vary with the schedule
+      },
+      "hyper_bfs");
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ImplicitCancel, ::testing::Values(1u, 2u, 4u));
+
+TEST(Implicit, SDistanceSkipsTheRestOfTheTargetLevel) {
+  // Hub hyperedge 0 = {0..k-1}; leaf i = {i-1, k} for i = 1..k; target
+  // k+1 = {k}.  Every leaf reaches the target, so the first leaf expanded
+  // at level 2 claims it and the other k-1 are never expanded (or polled).
+  constexpr vertex_id_t k = 20;
+  biedgelist<>          el;
+  for (vertex_id_t v = 0; v < k; ++v) el.push_back(0, v);
+  for (vertex_id_t i = 1; i <= k; ++i) {
+    el.push_back(i, i - 1);
+    el.push_back(i, k);
+  }
+  el.push_back(k + 1, k);
+  NWHypergraph             hg(std::move(el));
+  nw::par::thread_pool     serial(1);
+  std::atomic<std::size_t> polls{0};
+  auto d = s_distance_implicit(hg.hyperedges(), hg.hypernodes(), hg.edge_sizes(), 1, 0, k + 1,
+                               fire_after{&polls, ~std::size_t{0}}, serial);
+  EXPECT_EQ(d, std::optional<std::size_t>{2});
+  EXPECT_EQ(polls.load(), 2u);  // the hub, then one leaf
 }
 
 // --- configuration model ----------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "nwhy.hpp"
 #include "test_util.hpp"
@@ -146,52 +147,75 @@ protected:
 TEST_F(NwobsTest, CounterMergesBlockedPartitioner) {
   auto&             c = registry::get().get_counter("test.blocked");
   const std::size_t n = 100000;
-  nw::par::parallel_for(0, n, [&](unsigned tid, std::size_t) { c.add(tid, 1); },
-                        nw::par::blocked{});
+  nw::par::parallel_for(0, n, [&](std::size_t) { c.add(1); }, nw::par::blocked{});
   EXPECT_EQ(c.value(), n);
 }
 
 TEST_F(NwobsTest, CounterMergesStaticBlockedPartitioner) {
   auto&             c = registry::get().get_counter("test.static_blocked");
   const std::size_t n = 100000;
-  nw::par::parallel_for(0, n, [&](unsigned tid, std::size_t) { c.add(tid, 1); },
-                        nw::par::static_blocked{});
+  nw::par::parallel_for(0, n, [&](std::size_t) { c.add(1); }, nw::par::static_blocked{});
   EXPECT_EQ(c.value(), n);
 }
 
 TEST_F(NwobsTest, CounterMergesCyclicPartitioner) {
   auto&             c = registry::get().get_counter("test.cyclic");
   const std::size_t n = 100000;
-  nw::par::parallel_for(0, n, [&](unsigned tid, std::size_t) { c.add(tid, 1); },
-                        nw::par::cyclic{});
+  nw::par::parallel_for(0, n, [&](std::size_t) { c.add(1); }, nw::par::cyclic{});
   EXPECT_EQ(c.value(), n);
 }
 
 TEST_F(NwobsTest, CounterWeightedAddsAndMacro) {
   auto& c = registry::get().get_counter("test.weighted");
-  c.add(0, 5);
-  c.add(1, 7);
+  c.add(5);
+  c.add(7);
   EXPECT_EQ(c.value(), 12u);
-  NWOBS_COUNT("test.weighted_macro", 0, 3);
-  NWOBS_COUNT("test.weighted_macro", 0, 4);
+  NWOBS_COUNT("test.weighted_macro", 3);
+  NWOBS_COUNT("test.weighted_macro", 4);
   EXPECT_EQ(registry::get().get_counter("test.weighted_macro").value(), 7u);
 }
 
 TEST_F(NwobsTest, CounterOverflowSlotIsStillCounted) {
-  // Worker ids beyond slot_capacity (possible only if a pool ever exceeded
-  // 128 threads) fall back to the relaxed-atomic overflow slot.
-  auto& c = registry::get().get_counter("test.overflow");
-  c.add(nw::obs::counter::slot_capacity + 5, 9);
-  c.add(0, 1);
-  EXPECT_EQ(c.value(), 10u);
+  // Threads past slot_capacity fall back to the relaxed-atomic overflow
+  // slot.  Starting slot_capacity + 5 threads one after another guarantees
+  // at least five of them land there, whatever slots earlier tests took.
+  auto&          c       = registry::get().get_counter("test.overflow");
+  const unsigned threads = nw::obs::counter::slot_capacity + 5;
+  for (unsigned t = 0; t < threads; ++t) std::thread([&] { c.add(9); }).join();
+  c.add(1);
+  EXPECT_EQ(c.value(), 9u * threads + 1);
+}
+
+TEST_F(NwobsTest, ConcurrentEnginesOnOwnPoolsDoNotShareSlots) {
+  // Each thread runs hyper_bfs on its own one-context pool, so both run as
+  // worker 0; counting by pool worker id would race on one slot and lose
+  // increments.
+  auto              hg = NWHypergraph(gen::uniform_random_hypergraph(3000, 2000, 6, 11));
+  const auto&       E  = hg.hyperedges();
+  const auto&       N  = hg.hypernodes();
+  auto&             c  = registry::get().get_counter("hyper_bfs.edges_relaxed");
+  auto run = [&] {
+    nw::par::thread_pool pool(1);
+    for (vertex_id_t src = 0; src < 20; ++src) {
+      (void)hyper_bfs(E, N, src, 0, 0, nw::par::never_stop{}, pool);
+    }
+  };
+  run();
+  const std::uint64_t one = c.value();
+  ASSERT_GT(one, 0u);
+  c.reset();
+  std::thread a(run), b(run);
+  a.join();
+  b.join();
+  EXPECT_EQ(c.value(), 2 * one);
 }
 
 TEST_F(NwobsTest, ResetZeroesInPlaceSoCachedReferencesStayValid) {
   auto& c = registry::get().get_counter("test.reset");
-  c.add(0, 41);
+  c.add(41);
   registry::get().reset();
   EXPECT_EQ(c.value(), 0u);
-  c.add(0, 1);  // the same reference keeps working after reset
+  c.add(1);  // the same reference keeps working after reset
   EXPECT_EQ(c.value(), 1u);
   EXPECT_EQ(registry::get().counters_snapshot().at("test.reset"), 1u);
 }
@@ -409,7 +433,7 @@ TEST_F(NwobsTest, ProfileJsonHasPinnedSchema) {
 }
 
 TEST_F(NwobsTest, WriteProfileRoundTripsThroughDisk) {
-  registry::get().get_counter("test.roundtrip").add(0, 42);
+  registry::get().get_counter("test.roundtrip").add(42);
   std::string path = ::testing::TempDir() + "nwobs_roundtrip.json";
   ASSERT_TRUE(nw::obs::write_profile(path));
   std::ifstream     f(path);

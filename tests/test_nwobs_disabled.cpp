@@ -20,7 +20,7 @@ using nw::obs::registry;
 
 TEST(NwobsDisabled, MacrosCompileToNothing) {
   registry::get().reset();
-  NWOBS_COUNT("disabled.counter", 0, 1);
+  NWOBS_COUNT("disabled.counter", 1);
   NWOBS_GAUGE_SET("disabled.gauge", 5);
   NWOBS_GAUGE_MAX("disabled.gauge", 9);
   { NWOBS_SCOPE_TIMER("disabled.timer"); }

@@ -74,13 +74,16 @@ struct golden_query {
 
 /// Synthesize the expected reply bytes for every query the stress clients
 /// will fire, using ONLY direct library calls (NWHypergraph, s_linegraph,
-/// the implicit kernels) — the independent oracle the server is diffed
-/// against.  `epoch` must be the value publish() assigned, because stats
-/// replies carry it.
+/// the implicit kernels) — the oracle the server is diffed against.  The
+/// bfs, s_distance and s_components answers come from the same engines the
+/// server runs, so each is first checked against the serial ref:: oracle;
+/// that keeps the corpus independent of the code under test.  `epoch` must
+/// be the value publish() assigned, because stats replies carry it.
 std::vector<golden_query> build_corpus(const NWHypergraph& h, std::uint64_t epoch) {
   std::vector<golden_query> corpus;
-  const std::size_t         ne = h.num_hyperedges();
-  const std::size_t         nn = h.num_hypernodes();
+  const std::size_t         ne  = h.num_hyperedges();
+  const std::size_t         nn  = h.num_hypernodes();
+  const ref::incidence      inc = ref::from_biedgelist(h.generation()->el);
 
   {
     sv::stats_reply r;
@@ -99,7 +102,10 @@ std::vector<golden_query> build_corpus(const NWHypergraph& h, std::uint64_t epoc
   if (ne > 0) sample.push_back(static_cast<vertex_id_t>(ne - 1));
 
   for (vertex_id_t src : sample) {
-    auto          lib = h.bfs(src);
+    auto lib  = h.bfs(src);
+    auto want = ref::bfs_levels(inc, src);
+    EXPECT_EQ(lib.dist_edge, want.dist_edge) << "bfs from " << src;
+    EXPECT_EQ(lib.dist_node, want.dist_node) << "bfs from " << src;
     sv::bfs_reply r;
     for (auto d : lib.dist_edge) {
       if (d != nw::null_vertex<>) {
@@ -141,6 +147,7 @@ std::vector<golden_query> build_corpus(const NWHypergraph& h, std::uint64_t epoc
     for (vertex_id_t a : sample) {
       for (vertex_id_t b : sample) {
         auto d = s_distance_implicit(h.hyperedges(), h.hypernodes(), h.edge_sizes(), s, a, b);
+        EXPECT_EQ(d, ref::s_distance(inc, s, a, b)) << "s=" << s << " " << a << "->" << b;
         corpus.push_back(
             {sv::opcode::s_distance, sv::encode(sv::s_distance_request{0, s, a, b}),
              sv::encode_u64_reply(d ? static_cast<std::uint64_t>(*d) : sv::k_unreachable)});
@@ -149,6 +156,9 @@ std::vector<golden_query> build_corpus(const NWHypergraph& h, std::uint64_t epoc
 
     auto labels =
         s_connected_components_implicit(h.hyperedges(), h.hypernodes(), h.edge_sizes(), s);
+    // Both label each component with its smallest id, so the partitions
+    // agree exactly when the label vectors do.
+    EXPECT_EQ(labels, ref::s_components(inc, s)) << "s_components, s=" << s;
     sv::s_components_reply r;
     for (std::size_t i = 0; i < labels.size(); ++i) {
       if (labels[i] == static_cast<vertex_id_t>(i)) ++r.num_components;
@@ -197,8 +207,10 @@ bool run_stress_client(const std::string& addr, const std::vector<golden_query>&
 /// A hypergraph whose whole-graph queries take real time (hundreds of ms):
 /// dense overlap structure so the implicit s-kernels do heavy hashmap work.
 /// Used by the coalescing and deadline tests, which need work that outlasts
-/// their control delays by a wide margin.
-NWHypergraph dense_hypergraph(std::size_t ne, std::size_t nv, std::size_t edge_size) {
+/// their control delays by a wide margin.  With `isolated`, hyperedge `ne`
+/// is added on a hypernode of its own, unreachable from every other one.
+NWHypergraph dense_hypergraph(std::size_t ne, std::size_t nv, std::size_t edge_size,
+                              bool isolated = false) {
   biedgelist<> el(ne, nv);
   std::vector<vertex_id_t> members;
   for (std::size_t e = 0; e < ne; ++e) {
@@ -211,6 +223,7 @@ NWHypergraph dense_hypergraph(std::size_t ne, std::size_t nv, std::size_t edge_s
     members.erase(std::unique(members.begin(), members.end()), members.end());
     for (vertex_id_t v : members) el.push_back(static_cast<vertex_id_t>(e), v);
   }
+  if (isolated) el.push_back(static_cast<vertex_id_t>(ne), static_cast<vertex_id_t>(nv));
   return NWHypergraph(std::move(el));
 }
 
@@ -762,6 +775,39 @@ TEST(ServeScheduling, MidQueryDeadlineCancelsAtFrontierBoundary) {
 
   const auto t1 = std::chrono::steady_clock::now();
   auto       r  = c.s_components(0, 1, /*deadline_ms=*/50);
+  const auto ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t1)
+                      .count();
+  ASSERT_TRUE(r);
+  EXPECT_EQ(r->st, sv::status::deadline_exceeded);
+  EXPECT_LT(ms, full_ms * 0.8) << "cancellation not faster than completion";
+}
+
+TEST(ServeScheduling, MidQueryDeadlineCancelsSDistance) {
+  // s_distance from hyperedge 0 to an unreachable hyperedge floods all of
+  // 0's component, hundreds of ms on this graph; a 50 ms deadline must
+  // cancel it mid-traversal, not after completion.
+  NWHypergraph h = dense_hypergraph(10000, 4001, 90, /*isolated=*/true);
+  auto         opt = unix_options(/*workers=*/1, /*queue=*/8);
+  sv::server   srv(opt);
+  srv.publish(0, sv::make_serve_graph(h));
+
+  sv::client c;
+  c.connect(srv.address());
+  const auto t0 = std::chrono::steady_clock::now();
+  auto       full = c.s_distance(0, 1, 0, 10000);
+  const auto full_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  ASSERT_TRUE(full);
+  ASSERT_EQ(full->st, sv::status::ok);
+  EXPECT_EQ(full->payload, sv::encode_u64_reply(sv::k_unreachable));
+  if (full_ms < 150.0) {
+    GTEST_SKIP() << "machine too fast to distinguish cancellation (" << full_ms << " ms)";
+  }
+
+  const auto t1 = std::chrono::steady_clock::now();
+  auto       r  = c.s_distance(0, 1, 0, 10000, /*deadline_ms=*/50);
   const auto ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t1)
                       .count();

@@ -3,7 +3,7 @@
 // brute-force all-pairs shortest-path counter.
 #include <gtest/gtest.h>
 
-#include "nwgraph/algorithms/betweenness.hpp"
+#include "nwhy/algorithms/s_betweenness.hpp"
 #include "nwhy/validate.hpp"
 #include "test_util.hpp"
 
@@ -115,7 +115,7 @@ class BrandesExhaustive : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BrandesExhaustive, MatchesBruteForceOnSmallGraphs) {
   auto                   el = nwtest::random_graph(14, 30, GetParam());
   nw::graph::adjacency<> g(el);
-  auto brandes = nw::graph::betweenness_centrality(g, /*normalized=*/false);
+  auto brandes = betweenness_batched(g, /*normalized=*/false);
   auto brute   = brute_force_bc(g);
   ASSERT_EQ(brandes.size(), brute.size());
   for (std::size_t v = 0; v < brute.size(); ++v) {
