@@ -43,34 +43,38 @@
 // sorted neighbor rows — NWHypergraph adopts such snapshots wholesale and
 // rebuilds from scratch otherwise.
 //
-// Validation policy: both readers reject bad magic, unsupported versions,
-// truncation, out-of-bounds/misaligned sections, u32 id overflow and
-// header-checksum mismatch with io_error (never abort).  Both readers also
-// run a full structural pass over every adopted CSR — row offsets must be
-// monotonically non-decreasing and every target id must index the opposite
-// partition — because checksums are forgeable and a crafted snapshot must
-// never be able to drive to_biedgelist or the algorithms out of bounds.
-// That pass is O(n + m) parallel integer compares (memory-bandwidth bound,
-// a tiny fraction of what re-parsing text would cost), so the mmap load is
-// "one streaming read" rather than strictly O(page faults).  The streamed
-// reader always verifies per-section checksums; the mmap loader verifies
-// them only when asked (`verify_checksums`), since hashing is much slower
-// than the structural compare pass.
+// One parser, two front ends: `map_csr_snapshot` maps the file and
+// `read_csr_snapshot` stages a stream into one owned image; both hand the
+// bytes to parse_header + snapshot_from_image, so the two load paths accept
+// and reject exactly the same files.
+//
+// Validation policy: bad magic, unsupported versions, truncation,
+// out-of-bounds/misaligned sections, u32 id overflow and header-checksum
+// mismatch are rejected with io_error (never abort).  A full structural pass
+// runs over every adopted CSR — row offsets must be monotonically
+// non-decreasing and every target id must index the opposite partition —
+// because checksums are forgeable and a crafted snapshot must never be able
+// to drive to_biedgelist or the algorithms out of bounds.  That pass is
+// O(n + m) parallel integer compares (memory-bandwidth bound, a tiny
+// fraction of what re-parsing text would cost), so the mmap load is "one
+// streaming read" rather than strictly O(page faults).  A verified load
+// hashes every listed section, unknown kinds included; the streamed reader
+// always verifies, the mmap loader only when asked (`verify_checksums`),
+// since hashing is much slower than the structural compare pass.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <memory>
-#include <new>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -333,11 +337,11 @@ inline parsed_header parse_header(const unsigned char* data, std::uint64_t avail
                      origin, 0, entry_off);
     }
     const std::uint32_t want = expected_elem_size(s.kind);
-    // Known kinds may appear at most once: every consumer below resolves a
-    // kind to ONE section (require_section, the staging loops of the
-    // streamed reader), so a file listing a kind twice could have its two
-    // copies validated and adopted inconsistently.  Unknown kinds may
-    // repeat — they are dropped wholesale.
+    // Known kinds may appear at most once: every consumer resolves a kind
+    // to ONE section (require_section / parsed_header::find), so a file
+    // listing a kind twice could have its two copies validated and adopted
+    // inconsistently.  Unknown kinds may repeat — they are dropped
+    // wholesale.
     if (want != 0) {
       if ((seen_kinds >> s.kind) & 1u) {
         throw io_error("NWHYCSR2 snapshot lists section kind " + std::to_string(s.kind) +
@@ -663,15 +667,9 @@ inline compressed_adjacency make_compressed_view(
     std::uint64_t target_bound, const char* what, const std::string& origin,
     std::shared_ptr<const void> keepalive,
     par::thread_pool& pool = par::thread_pool::default_pool()) {
-  // Both callers resolve idx via require_section, which pins its byte
-  // length to (n+1) offsets — but the dictionary pass below reads
-  // idx[u+1] up to u = n-1, so re-verify here rather than trusting the
-  // callers' staging stayed consistent with the validated table entry.
-  if (idx.size() != n + 1) {
-    throw io_error(std::string("NWHYCSR2 ") + what + " index section has " +
-                       std::to_string(idx.size()) + " offsets, expected " + std::to_string(n + 1),
-                   origin, 0, payload_offset);
-  }
+  // The dictionary pass below reads idx[u+1] up to u = n-1; the caller's
+  // require_section pins idx to exactly n+1 offsets.
+  NW_ASSERT(idx.size() == n + 1, "compressed index section must hold n+1 offsets");
   check_index_structure(idx, m, what, origin, pool);
   compressed_targets targets(payload, origin, payload_offset);
   NWOBS_COUNT("csr.compressed_bytes", payload.size());
@@ -721,9 +719,9 @@ inline compressed_adjacency make_compressed_view(
 }  // namespace csr_detail
 
 /// A loaded snapshot: the two bi-adjacency CSRs, the optional adjoin CSR,
-/// and — on the mmap path — the keepalive owning the mapped bytes every
-/// span points into.  Move `storage` along with the CSRs (NWHypergraph's
-/// snapshot constructor does).
+/// and the keepalive owning the file image the spans point into.  Move
+/// `storage` along with the CSRs (NWHypergraph's snapshot constructor
+/// does).
 struct csr_snapshot {
   std::uint32_t version = csr_snapshot_version;
   std::uint32_t flags   = 0;
@@ -748,13 +746,13 @@ struct csr_snapshot {
   /// every query keeps answering in the caller's original id space.
   std::vector<nw::vertex_id_t> relabel_inv;
 
-  /// Owns the mmap'd file for zero-copy loads — or, for a streamed load of
-  /// a compressed snapshot, the staged compressed buffers the views point
-  /// into; null otherwise.
+  /// Owns the file image (the mmap'd file, or the streamed reader's staged
+  /// copy) while some span above points into it: a raw E2N/N2E side, the
+  /// adjoin, or a stream-mode view.  Null when every structure owns its
+  /// vectors (decoded or shard-reassembled sides), which frees the image.
   std::shared_ptr<const void> storage;
 
   [[nodiscard]] bool canonical() const { return (flags & csr_flag_canonical) != 0; }
-  [[nodiscard]] bool zero_copy() const { return storage != nullptr; }
   [[nodiscard]] bool streaming() const { return edges_view.has_value() || nodes_view.has_value(); }
 
   /// Decode any streaming views into owned CSRs (parallel block decode).
@@ -1194,20 +1192,36 @@ inline void write_csr_snapshot(const std::string& path, const biadjacency<0>& ed
 
 namespace csr_detail {
 
+/// Hash every listed section's payload — unknown kinds and sections the
+/// loader will not adopt included — so a verified load audits the whole
+/// file, not just what it keeps.
+inline void verify_section_checksums(const parsed_header& h, const unsigned char* base,
+                                     const std::string& origin) {
+  NWOBS_SCOPE_TIMER("io.checksum");
+  for (const auto& s : h.sections) {
+    if (fnv1a64(base + s.offset, s.length) != s.checksum) {
+      throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
+                     origin, 0, s.offset);
+    }
+  }
+}
+
 /// Assemble a csr_snapshot from a validated header plus a base pointer to
-/// the full file image (mmap'd or slurped).  Span-based: zero copies for
-/// raw sections; compressed target sections are either decoded now
-/// (`materialize`) or wrapped in block-decoding views (`stream`).
+/// the full file image (mmap'd, or staged by the streamed reader) — the one
+/// NWHYCSR2 parser.  Raw sections are adopted as spans into the image;
+/// compressed target sections are either decoded now (`materialize`) or
+/// wrapped in block-decoding views (`stream`); shard slices are reassembled
+/// into owned vectors.  `storage` owns the image and is kept in
+/// `snap.storage` only while some adopted span still points into it, so a
+/// fully decoded or reassembled load frees the image on return.
 inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned char* base,
                                         bool verify_checksums, const std::string& origin,
                                         std::shared_ptr<const void> storage,
                                         snapshot_decode mode = snapshot_decode::materialize) {
+  if (verify_checksums) verify_section_checksums(h, base, origin);
+  bool uses_image = false;  // does any adopted span point into the image?
   auto section_span = [&](const section_entry& s, auto tag) {
     using elem_t = decltype(tag);
-    if (verify_checksums && fnv1a64(base + s.offset, s.length) != s.checksum) {
-      throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
-                     origin, 0, s.offset);
-    }
     return std::span<const elem_t>(reinterpret_cast<const elem_t*>(base + s.offset),
                                    s.length / sizeof(elem_t));
   };
@@ -1230,6 +1244,7 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
     auto idx = section_span(si, nw::offset_t{});
     auto tgt = section_span(*st, nw::vertex_id_t{});
     check_csr_structure(idx, tgt, target_bound, what, origin);
+    uses_image = true;
     return nw::graph::adjacency<>::from_csr_spans(idx, tgt, n);
   };
   // Assemble a block-decoding view over a compressed targets section (plus
@@ -1316,6 +1331,7 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
       snap.edges = biadjacency<0>::from_csr(view.materialize(), h.n0, h.n1);
     } else {
       snap.edges_view = std::move(view);
+      uses_image      = true;
     }
   } else {
     snap.edges = biadjacency<0>::from_csr(
@@ -1332,6 +1348,7 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
       snap.nodes = biadjacency<1>::from_csr(view.materialize(), h.n1, h.n0);
     } else {
       snap.nodes_view = std::move(view);
+      uses_image      = true;
     }
   } else {
     snap.nodes = biadjacency<1>::from_csr(
@@ -1350,7 +1367,7 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
     validate_relabel_inv(inv, h.n0, origin);
     snap.relabel_inv.assign(inv.begin(), inv.end());
   }
-  snap.storage = std::move(storage);
+  if (uses_image) snap.storage = std::move(storage);
   return snap;
 }
 
@@ -1361,10 +1378,10 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
 /// straight at the mapping.  Load cost is header/table validation plus one
 /// streaming structural pass over the CSR sections (monotonic offsets,
 /// in-range targets — see check_csr_structure); no bytes are copied or
-/// hashed.  `verify_checksums` opts into additionally hashing every section
-/// (use for integrity audits, not hot loads).  The returned snapshot's
-/// `storage` member owns the mapping; keep it alive as long as any span is
-/// in use.
+/// hashed.  `verify_checksums` opts into additionally hashing every listed
+/// section (use for integrity audits, not hot loads).  When any returned
+/// span points into the mapping, the snapshot's `storage` member owns it;
+/// keep it alive as long as any span is in use.
 inline csr_snapshot map_csr_snapshot(const std::string& path, bool verify_checksums = false,
                                      snapshot_decode mode = snapshot_decode::materialize) {
   namespace d = csr_detail;
@@ -1395,313 +1412,96 @@ inline csr_snapshot map_csr_snapshot(const std::string& path, bool verify_checks
 }
 #endif  // NWHY_HAS_MMAP
 
-/// Streamed reader (pipes, sockets, non-mmap platforms): reads the whole
-/// snapshot through the istream into owned vectors.  Always verifies every
-/// section checksum — a stream has no later chance to fault pages in.
+/// Streamed reader (pipes, sockets, non-mmap platforms): stages the whole
+/// snapshot into one owned, 8-byte-aligned image and hands it to the same
+/// parse_header + snapshot_from_image code as the mmap loader, always
+/// verifying every section checksum — a stream has no later chance to
+/// re-read its bytes.
+///
+/// The header's `file_size` is a claim, so staging is bounded by what the
+/// stream really holds.  On a seekable stream a claim longer than the
+/// remaining bytes is rejected as truncation before anything is allocated;
+/// otherwise the image is allocated once.  A non-seekable stream grows the
+/// image as bytes arrive, reading 4 MiB at a time, so a lying `file_size`
+/// dies on honest truncation after at most one chunk past the real end.
+/// An allocation failure surfaces as io_error, never std::bad_alloc.
 inline csr_snapshot read_csr_snapshot(std::istream& in, const std::string& origin = {},
                                       snapshot_decode mode = snapshot_decode::materialize) {
   namespace d = csr_detail;
   NWOBS_SCOPE_TIMER("io.snapshot_read");
-  unsigned char prefix[d::header_bytes];
-  in.read(reinterpret_cast<char*>(prefix), sizeof(prefix));
-  if (!in.good()) {
-    throw io_error("truncated NWHYCSR2 snapshot (no room for the 64-byte header)", origin, 0,
-                   static_cast<std::size_t>(in.gcount()));
-  }
-  // Peek the section count to size the table read, then let parse_header do
-  // all validation on the assembled prefix.
-  if (std::memcmp(prefix, csr_snapshot_magic, sizeof(csr_snapshot_magic)) != 0) {
-    throw io_error("not an NWHYCSR2 snapshot (bad magic)", origin, 0, 0);
-  }
-  const std::uint32_t count = d::get_u32(prefix + 40);
-  if (count == 0 || count > d::max_section_count) {
-    throw io_error("NWHYCSR2 section count " + std::to_string(count) + " out of range [1, " +
-                       std::to_string(d::max_section_count) + "]",
-                   origin, 0, 40);
-  }
-  const std::uint64_t table_end = d::header_bytes + std::uint64_t{count} * d::table_entry_bytes;
-  std::vector<unsigned char> head(table_end);
-  std::memcpy(head.data(), prefix, sizeof(prefix));
-  in.read(reinterpret_cast<char*>(head.data() + d::header_bytes),
-          static_cast<std::streamsize>(table_end - d::header_bytes));
-  if (!in.good()) {
-    throw io_error("truncated NWHYCSR2 snapshot (section table cut short)", origin, 0,
-                   d::header_bytes);
-  }
-  // A stream cannot be sized up front; trust file_size for bounds checking
-  // and let the payload reads catch actual truncation.
-  const std::uint64_t claimed = d::get_u64(head.data() + 48);
-  auto                h       = d::parse_header(head.data(), claimed, origin);
+  // Header + table (at most 64 + 16 x 32 bytes): parse_header judges
+  // whatever the stream delivered, so a short or foreign stream gets the
+  // same error as a short or foreign file.
+  std::vector<unsigned char> head(d::header_bytes + d::max_section_count * d::table_entry_bytes);
+  auto read_head = [&](std::size_t from, std::size_t n) {
+    in.read(reinterpret_cast<char*>(head.data() + from), static_cast<std::streamsize>(n));
+    return from + static_cast<std::size_t>(in.gcount());
+  };
+  std::size_t         got_head  = read_head(0, d::header_bytes);
+  const std::size_t   count     = std::min<std::size_t>(d::get_u32(head.data() + 40),
+                                                        d::max_section_count);
+  const std::uint64_t table_end = d::header_bytes + count * d::table_entry_bytes;
+  if (got_head == d::header_bytes) got_head = read_head(got_head, table_end - d::header_bytes);
+  const auto h = d::parse_header(
+      head.data(), got_head < table_end ? got_head : d::get_u64(head.data() + 48), origin);
+  const std::uint64_t file_size = h.file_size;
 
-  // Payloads arrive in table order (parse_header enforced increasing
-  // offsets); skip alignment padding between them.
-  std::uint64_t pos = table_end;
-  auto skip_to = [&](const d::section_entry& s) {
-    NW_ASSERT(s.offset >= pos, "sections must be read in file order");
-    for (std::uint64_t skip = s.offset - pos; skip > 0;) {
-      char          sink[64];
-      std::uint64_t chunk = std::min<std::uint64_t>(skip, sizeof(sink));
-      in.read(sink, static_cast<std::streamsize>(chunk));
-      skip -= chunk;
-    }
+  // The image lives in malloc'd memory: its alignment (at least 16 bytes)
+  // covers the u64 index sections, and realloc grows a pipe's image in
+  // place where it can.  Allocation failure returns null, reported as
+  // io_error.
+  struct free_deleter {
+    void operator()(void* p) const { std::free(p); }
   };
-  // Stage a known section into a typed owned vector *incrementally*: the
-  // header's section lengths are only bounded by its own claimed
-  // file_size, which a stream cannot verify, so a crafted header could
-  // declare near-2^64 bytes.  Growing the buffer a bounded chunk at a time
-  // means memory is only committed for bytes the stream actually delivers
-  // — a lying length dies on honest truncation ("cut short") after one
-  // chunk, never on a giant up-front allocation.  The checksum is chained
-  // across chunks.
-  auto read_section = [&](const d::section_entry& s, auto& vec) {
-    using elem_t = typename std::remove_reference_t<decltype(vec)>::value_type;
-    skip_to(s);
-    const std::uint64_t     total_elems = s.length / sizeof(elem_t);
-    constexpr std::uint64_t chunk_elems = (std::uint64_t{4} << 20) / sizeof(elem_t);  // 4 MiB
-    std::uint64_t           got         = 0;
-    std::uint64_t           sum         = d::fnv_basis;
-    while (got < total_elems) {
-      const std::uint64_t n = std::min(chunk_elems, total_elems - got);
-      try {
-        vec.resize(static_cast<std::size_t>(got + n));
-      } catch (const std::bad_alloc&) {
-        throw io_error("NWHYCSR2 section kind " + std::to_string(s.kind) + " declares " +
-                           std::to_string(s.length) + " bytes, too large to stage in memory",
-                       origin, 0, s.offset);
-      }
-      in.read(reinterpret_cast<char*>(vec.data() + got),
-              static_cast<std::streamsize>(n * sizeof(elem_t)));
-      if (!in.good()) {
-        throw io_error("truncated NWHYCSR2 snapshot (section kind " + std::to_string(s.kind) +
-                           " cut short)",
-                       origin, 0, s.offset);
-      }
-      sum = d::fnv1a64(vec.data() + got, static_cast<std::size_t>(n * sizeof(elem_t)), sum);
-      got += n;
+  std::unique_ptr<unsigned char, free_deleter> image;
+  auto reserve = [&](std::uint64_t bytes) {
+    auto* p =
+        static_cast<unsigned char*>(std::realloc(image.get(), static_cast<std::size_t>(bytes)));
+    if (p == nullptr) {
+      throw io_error("NWHYCSR2 snapshot declares " + std::to_string(file_size) +
+                         " bytes, too large to stage in memory",
+                     origin, 0, 48);
     }
-    if (sum != s.checksum) {
-      throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
-                     origin, 0, s.offset);
-    }
-    pos = s.offset + s.length;
+    (void)image.release();  // realloc already freed or reused it
+    image.reset(p);
   };
-  // Stream an unknown-kind section through a fixed sink without
-  // materializing it: its elem_size is untrusted (v1 only pins elem_size
-  // for known kinds), so no staging buffer may ever be sized from it.  The
-  // checksum is still chained and verified along the way.
-  auto skip_section = [&](const d::section_entry& s) {
-    skip_to(s);
-    std::uint64_t sum = d::fnv_basis;
-    for (std::uint64_t left = s.length; left > 0;) {
-      char          sink[4096];
-      std::uint64_t chunk = std::min<std::uint64_t>(left, sizeof(sink));
-      in.read(sink, static_cast<std::streamsize>(chunk));
-      if (!in.good()) {
-        throw io_error("truncated NWHYCSR2 snapshot (section kind " + std::to_string(s.kind) +
-                           " cut short)",
-                       origin, 0, s.offset);
-      }
-      sum = d::fnv1a64(sink, static_cast<std::size_t>(chunk), sum);
-      left -= chunk;
+  constexpr std::uint64_t chunk = std::uint64_t{4} << 20;
+  std::uint64_t           cap   = std::min(file_size, chunk);  // grown as a pipe delivers
+  if (const auto here = in.tellg(); here != std::istream::pos_type(-1)) {
+    const auto end = in.seekg(0, std::ios::end).tellg();
+    if (!in.seekg(here) || end == std::istream::pos_type(-1)) {
+      throw io_error("cannot seek in snapshot stream", origin, 0, table_end);
     }
-    if (sum != s.checksum) {
-      throw io_error("NWHYCSR2 section checksum mismatch (kind " + std::to_string(s.kind) + ")",
-                     origin, 0, s.offset);
+    const std::uint64_t have = table_end + static_cast<std::uint64_t>(end - here);
+    if (file_size > have) {
+      throw io_error("truncated NWHYCSR2 snapshot (header declares " +
+                         std::to_string(file_size) + " bytes, stream has " +
+                         std::to_string(have) + ")",
+                     origin, 0, 48);
     }
-    pos = s.offset + s.length;
-  };
-  // Read every listed section in file order.  Known kinds stage into typed
-  // owned vectors (their elem_size was pinned by parse_header, so length is
-  // a multiple of the element width); unknown kinds — tolerated for
-  // forward compatibility — are checksum-verified and dropped, and their
-  // untrusted elem_size never sizes a buffer.
-  std::vector<std::vector<nw::offset_t>>     idx_store(h.sections.size());
-  std::vector<std::vector<nw::vertex_id_t>>  tgt_store(h.sections.size());
-  std::vector<std::vector<unsigned char>>    byte_store(h.sections.size());
-  for (std::size_t i = 0; i < h.sections.size(); ++i) {
-    const auto& s = h.sections[i];
-    switch (d::expected_elem_size(s.kind)) {
-      case 8: read_section(s, idx_store[i]); break;
-      case 4: read_section(s, tgt_store[i]); break;
-      case 1: read_section(s, byte_store[i]); break;
-      default: skip_section(s); break;
-    }
+    cap = file_size;
   }
-  auto take_csr = [&](std::uint32_t idx_kind, std::uint32_t tgt_kind, std::uint64_t n,
-                      std::uint64_t expect_targets, bool exact_targets,
-                      std::uint64_t target_bound, const char* what) {
-    (void)require_section(h, idx_kind, (n + 1) * sizeof(nw::offset_t), origin);
-    std::vector<nw::offset_t>    idx;
-    std::vector<nw::vertex_id_t> tgt;
-    bool                         have_tgt = false;
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == idx_kind) idx = std::move(idx_store[i]);
-      if (h.sections[i].kind == tgt_kind) {
-        tgt      = std::move(tgt_store[i]);
-        have_tgt = true;
-      }
+  reserve(cap);
+  std::memcpy(image.get(), head.data(), static_cast<std::size_t>(table_end));
+  for (std::uint64_t got = table_end; got < file_size;) {
+    if (got == cap) {  // non-seekable: grow geometrically, never past the claim
+      cap = std::min(file_size, std::max(cap + chunk, 2 * cap));
+      reserve(cap);
     }
-    if (!have_tgt) {
-      throw io_error("NWHYCSR2 snapshot is missing required section kind " +
-                         std::to_string(tgt_kind),
-                     origin, 0, d::header_bytes);
+    const std::uint64_t n = std::min(chunk, cap - got);
+    in.read(reinterpret_cast<char*>(image.get() + got), static_cast<std::streamsize>(n));
+    if (!in.good()) {
+      throw io_error("truncated NWHYCSR2 snapshot (stream ended after " +
+                         std::to_string(got + static_cast<std::uint64_t>(in.gcount())) + " of " +
+                         std::to_string(file_size) + " declared bytes)",
+                     origin, 0, static_cast<std::size_t>(got));
     }
-    if (exact_targets && tgt.size() != expect_targets) {
-      throw io_error("NWHYCSR2 section kind " + std::to_string(tgt_kind) + " has " +
-                         std::to_string(tgt.size() * sizeof(nw::vertex_id_t)) +
-                         " bytes, expected " +
-                         std::to_string(expect_targets * sizeof(nw::vertex_id_t)),
-                     origin, 0, d::header_bytes);
-    }
-    d::check_csr_structure(std::span<const nw::offset_t>(idx),
-                           std::span<const nw::vertex_id_t>(tgt), target_bound, what, origin);
-    return nw::graph::adjacency<>::from_csr_vectors(std::move(idx), std::move(tgt), n);
-  };
-
-  // Compressed sections were staged into owned byte/typed vectors above;
-  // bundle the ones a view needs into a shared holder so stream-mode views
-  // stay valid after this function returns (the holder doubles as
-  // snap.storage).
-  struct staged_compressed {
-    std::vector<nw::offset_t>    e2n_idx, n2e_idx, dict_idx;
-    std::vector<nw::vertex_id_t> refs;
-    std::vector<unsigned char>   e2n_payload, n2e_payload;
-  };
-  std::shared_ptr<staged_compressed> held;
-  auto take_staged_idx = [&](std::uint32_t kind) {
-    std::vector<nw::offset_t> v;
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == kind) v = std::move(idx_store[i]);
-    }
-    return v;
-  };
-  auto take_compressed = [&](std::uint32_t idx_kind, std::uint32_t svb_kind, bool allow_dict,
-                             std::uint64_t n, std::uint64_t target_bound, const char* what) {
-    if (!held) held = std::make_shared<staged_compressed>();
-    (void)d::require_section(h, idx_kind, (n + 1) * sizeof(nw::offset_t), origin);
-    const auto* sc = h.find(svb_kind);
-    NW_ASSERT(sc != nullptr, "take_compressed called without the compressed section");
-    auto& idx_vec = idx_kind == csr_sec_e2n_indices ? held->e2n_idx : held->n2e_idx;
-    auto& pay_vec = idx_kind == csr_sec_e2n_indices ? held->e2n_payload : held->n2e_payload;
-    idx_vec = take_staged_idx(idx_kind);
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == svb_kind) pay_vec = std::move(byte_store[i]);
-    }
-    std::span<const nw::vertex_id_t> refs;
-    std::span<const nw::offset_t>    dict_idx;
-    const auto* sr = h.find(csr_sec_e2n_dict_refs);
-    const auto* sd = h.find(csr_sec_e2n_dict_indices);
-    if (allow_dict && (sr != nullptr || sd != nullptr)) {
-      if (sr == nullptr || sd == nullptr) {
-        throw io_error(
-            "NWHYCSR2 dictionary sections must come as a refs + indices pair (one is missing)",
-            origin, 0, d::header_bytes);
-      }
-      (void)d::require_section(h, csr_sec_e2n_dict_refs, n * sizeof(nw::vertex_id_t), origin);
-      for (std::size_t i = 0; i < h.sections.size(); ++i) {
-        if (h.sections[i].kind == csr_sec_e2n_dict_refs) held->refs = std::move(tgt_store[i]);
-      }
-      held->dict_idx = take_staged_idx(csr_sec_e2n_dict_indices);
-      refs           = std::span<const nw::vertex_id_t>(held->refs);
-      dict_idx       = std::span<const nw::offset_t>(held->dict_idx);
-    }
-    return d::make_compressed_view(std::span<const nw::offset_t>(idx_vec),
-                                   std::span<const unsigned char>(pay_vec), sc->offset, refs,
-                                   dict_idx, n, h.m, target_bound, what, origin, held);
-  };
-
-  csr_snapshot snap;
-  snap.version = h.version;
-  snap.flags   = h.flags;
-  snap.n0      = h.n0;
-  snap.n1      = h.n1;
-  snap.m       = h.m;
-  const auto* sdir = h.find(csr_sec_shard_dir);
-  const auto* spay = h.find(csr_sec_shard_payload);
-  if ((sdir == nullptr) != (spay == nullptr)) {
-    throw io_error(
-        "NWHYCSR2 shard sections must come as a directory + payload pair (one is missing)",
-        origin, 0, d::header_bytes);
+    got += n;
   }
-  const bool e2n_svb = h.find(csr_sec_e2n_targets_svb) != nullptr;
-  const bool n2e_svb = h.find(csr_sec_n2e_targets_svb) != nullptr;
-  const bool e2n_raw = h.find(csr_sec_e2n_targets) != nullptr || (!e2n_svb && sdir == nullptr);
-  const bool n2e_raw = h.find(csr_sec_n2e_targets) != nullptr || (!n2e_svb && sdir == nullptr);
-  if (e2n_raw &&
-      (h.find(csr_sec_e2n_dict_refs) != nullptr || h.find(csr_sec_e2n_dict_indices) != nullptr)) {
-    throw io_error("NWHYCSR2 dictionary sections are only valid with compressed E2N targets",
-                   origin, 0, d::header_bytes);
-  }
-  // Shard reassembly reads the staged stores through spans, so it must run
-  // before take_csr / take_compressed move any of them out.
-  std::vector<nw::vertex_id_t> shard_e2n, shard_n2e;
-  if (sdir != nullptr && ((!e2n_raw && !e2n_svb) || (!n2e_raw && !n2e_svb))) {
-    (void)d::require_section(h, csr_sec_e2n_indices, (h.n0 + 1) * sizeof(nw::offset_t), origin);
-    (void)d::require_section(h, csr_sec_n2e_indices, (h.n1 + 1) * sizeof(nw::offset_t), origin);
-    std::span<const nw::offset_t>  dwords, e2n_idx, n2e_idx;
-    std::span<const unsigned char> ppay;
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == csr_sec_shard_dir) dwords = idx_store[i];
-      if (h.sections[i].kind == csr_sec_shard_payload) ppay = byte_store[i];
-      if (h.sections[i].kind == csr_sec_e2n_indices) e2n_idx = idx_store[i];
-      if (h.sections[i].kind == csr_sec_n2e_indices) n2e_idx = idx_store[i];
-    }
-    auto dir = d::parse_shard_directory(dwords, h.n0, h.n1, h.m, spay->length, origin);
-    d::reassemble_from_shards(dir, ppay, spay->offset, e2n_idx, n2e_idx, h.n0, h.n1, h.m,
-                              shard_e2n, shard_n2e, origin);
-  }
-  if (e2n_raw) {
-    snap.edges = biadjacency<0>::from_csr(
-        take_csr(csr_sec_e2n_indices, csr_sec_e2n_targets, h.n0, h.m, true, h.n1, "E2N"), h.n0,
-        h.n1);
-  } else if (e2n_svb) {
-    auto view =
-        take_compressed(csr_sec_e2n_indices, csr_sec_e2n_targets_svb, true, h.n0, h.n1, "E2N");
-    if (mode == snapshot_decode::materialize) {
-      snap.edges = biadjacency<0>::from_csr(view.materialize(), h.n0, h.n1);
-    } else {
-      snap.edges_view = std::move(view);
-    }
-  } else {
-    snap.edges = biadjacency<0>::from_csr(
-        nw::graph::adjacency<>::from_csr_vectors(take_staged_idx(csr_sec_e2n_indices),
-                                                 std::move(shard_e2n), h.n0),
-        h.n0, h.n1);
-  }
-  if (n2e_raw) {
-    snap.nodes = biadjacency<1>::from_csr(
-        take_csr(csr_sec_n2e_indices, csr_sec_n2e_targets, h.n1, h.m, true, h.n0, "N2E"), h.n1,
-        h.n0);
-  } else if (n2e_svb) {
-    auto view =
-        take_compressed(csr_sec_n2e_indices, csr_sec_n2e_targets_svb, false, h.n1, h.n0, "N2E");
-    if (mode == snapshot_decode::materialize) {
-      snap.nodes = biadjacency<1>::from_csr(view.materialize(), h.n1, h.n0);
-    } else {
-      snap.nodes_view = std::move(view);
-    }
-  } else {
-    snap.nodes = biadjacency<1>::from_csr(
-        nw::graph::adjacency<>::from_csr_vectors(take_staged_idx(csr_sec_n2e_indices),
-                                                 std::move(shard_n2e), h.n1),
-        h.n1, h.n0);
-  }
-  if (snap.streaming()) snap.storage = held;
-  if ((h.flags & csr_flag_has_adjoin) != 0) {
-    snap.adjoin = adjoin_graph{
-        take_csr(csr_sec_adjoin_indices, csr_sec_adjoin_targets, h.n0 + h.n1, 0, false,
-                 h.n0 + h.n1, "adjoin"),
-        static_cast<std::size_t>(h.n0), static_cast<std::size_t>(h.n1)};
-  }
-  if (h.find(csr_sec_relabel_inv) != nullptr) {
-    (void)d::require_section(h, csr_sec_relabel_inv, h.n0 * sizeof(nw::vertex_id_t), origin);
-    for (std::size_t i = 0; i < h.sections.size(); ++i) {
-      if (h.sections[i].kind == csr_sec_relabel_inv) snap.relabel_inv = std::move(tgt_store[i]);
-    }
-    d::validate_relabel_inv(snap.relabel_inv, h.n0, origin);
-  }
-  NWOBS_COUNT("io.snapshot_bytes_read", h.file_size);
-  return snap;
+  NWOBS_COUNT("io.snapshot_bytes_read", file_size);
+  const unsigned char* base = image.get();
+  return d::snapshot_from_image(h, base, /*verify_checksums=*/true, origin,
+                                std::shared_ptr<const void>(std::move(image)), mode);
 }
 
 /// Path-based load: mmap zero-copy where the platform supports it,

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
@@ -20,6 +21,7 @@
 #include <numeric>
 #include <span>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -170,6 +172,42 @@ std::string build_tiny_snapshot(bool with_unknown_section, std::uint32_t dup_kin
   return bytes;
 }
 
+/// A read-only stream over a byte string that cannot seek and hands out at
+/// most 4 KiB per refill, like a pipe: read_csr_snapshot takes its
+/// chunked-growth path on it, where an istringstream (seekable) takes the
+/// up-front size check instead.
+class pipe_buf : public std::streambuf {
+public:
+  explicit pipe_buf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+protected:
+  int_type underflow() override {
+    if (pos_ == bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(4096, bytes_.size() - pos_);
+    char*             p = bytes_.data() + pos_;
+    setg(p, p, p + n);
+    pos_ += n;
+    return traits_type::to_int_type(*p);
+  }
+
+private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+};
+
+struct pipe_input {
+  pipe_buf     buf;
+  std::istream in{&buf};
+  explicit pipe_input(std::string bytes) : buf(std::move(bytes)) {}
+};
+
+/// Serialize `hg` through the ostream writer into a byte string.
+std::string snapshot_bytes(const NWHypergraph& hg) {
+  std::ostringstream out(std::ios::binary);
+  write_csr_snapshot(out, hg.hyperedges(), hg.hypernodes());
+  return out.str();
+}
+
 }  // namespace
 
 TEST(CsrSnapshot, MmapRoundTripIsBitExactAcrossSeedsAndThreads) {
@@ -200,34 +238,115 @@ TEST(CsrSnapshot, MmapRoundTripIsBitExactAcrossSeedsAndThreads) {
   }
 }
 
+// The two front ends share one parser, so for every writer variant the
+// streamed and mmap loads must carry the same structures.  The streamed
+// snapshot is read from an istringstream whose string is destroyed before
+// the comparison: whatever the snapshot still points into (its staged
+// image, held by `storage`) must outlive the source.  `storage` is kept
+// exactly when an adopted span points into the image.
 TEST(CsrSnapshot, StreamAndMmapReadersAgree) {
-  NWHypergraph hg(gen::arbitrary_hypergraph(0xCAFE));
-  scratch_file f("stream");
-  hg.save_csr_snapshot(f.path);
+  biedgelist<> el = gen::arbitrary_hypergraph(0xCAFE);
+  // Duplicate hyperedge rows, so the compressing writer emits the
+  // dictionary kinds 9/10.
+  const auto n0 = static_cast<vertex_id_t>(el.num_vertices(0));
+  for (vertex_id_t e = 0; e < 4; ++e) {
+    for (vertex_id_t v : {vertex_id_t{0}, vertex_id_t{1}, vertex_id_t{2}}) el.push_back(n0 + e, v);
+  }
+  el.sort_and_unique();
+  NWHypergraph hg(el);
+  NWHypergraph relabeled(el);
+  relabeled.relabel_by_degree();
+
+  csr_shard_options raw_shards;
+  raw_shards.shards = 3;
+  csr_shard_options svb_shards = raw_shards;
+  svb_shards.compress          = true;
+  struct variant {
+    const char*                             name;
+    const NWHypergraph&                     writer;
+    std::function<void(const std::string&)> write;
+    snapshot_decode                         mode;
+    bool                                    keeps_image;  ///< streamed and mapped alike
+  };
+  const variant variants[] = {
+      {"plain", hg, [&](const std::string& p) { hg.save_csr_snapshot(p); },
+       snapshot_decode::materialize, true},
+      {"adjoin", hg, [&](const std::string& p) { hg.save_csr_snapshot(p, true); },
+       snapshot_decode::materialize, true},
+      {"compressed+dict", hg,
+       [&](const std::string& p) { hg.save_csr_snapshot(p, csr_compress_options{}); },
+       snapshot_decode::materialize, false},
+      {"compressed+dict stream", hg,
+       [&](const std::string& p) { hg.save_csr_snapshot(p, csr_compress_options{}); },
+       snapshot_decode::stream, true},
+      {"sharded raw", hg, [&](const std::string& p) { hg.save_csr_snapshot(p, raw_shards); },
+       snapshot_decode::materialize, false},
+      {"sharded svb", hg, [&](const std::string& p) { hg.save_csr_snapshot(p, svb_shards); },
+       snapshot_decode::materialize, false},
+      {"relabeled", relabeled, [&](const std::string& p) { relabeled.save_csr_snapshot(p); },
+       snapshot_decode::materialize, true},
+  };
+  auto csr_of = [](const csr_snapshot& s, int side) {
+    if (side == 0) {
+      return s.edges_view ? s.edges_view->materialize() : nw::graph::adjacency<>(s.edges.csr());
+    }
+    return s.nodes_view ? s.nodes_view->materialize() : nw::graph::adjacency<>(s.nodes.csr());
+  };
+  for (const auto& v : variants) {
+    SCOPED_TRACE(v.name);
+    scratch_file f("agree");
+    v.write(f.path);
+    csr_snapshot streamed;
+    {
+      std::istringstream in(slurp(f.path), std::ios::binary);
+      streamed = read_csr_snapshot(in, f.path, v.mode);
+    }  // source string destroyed here
+    EXPECT_EQ(streamed.storage != nullptr, v.keeps_image);
+    EXPECT_EQ(streamed.streaming(), v.mode == snapshot_decode::stream);
+    expect_same_csr(csr_of(streamed, 0), v.writer.hyperedges().csr());
+    expect_same_csr(csr_of(streamed, 1), v.writer.hypernodes().csr());
+    const auto el_back = streamed.to_biedgelist();
+    ASSERT_EQ(el_back.size(), v.writer.edge_list().size());
+    for (std::size_t i = 0; i < el_back.size(); ++i) ASSERT_EQ(el_back[i], v.writer.edge_list()[i]);
 #if NWHY_HAS_MMAP
-  auto mapped = map_csr_snapshot(f.path, /*verify_checksums=*/true);
-  EXPECT_TRUE(mapped.zero_copy());
-  EXPECT_TRUE(mapped.edges.csr().is_external());
+    auto mapped = map_csr_snapshot(f.path, /*verify_checksums=*/true, v.mode);
+    EXPECT_EQ(mapped.storage != nullptr, v.keeps_image);
+    expect_same_csr(csr_of(mapped, 0), csr_of(streamed, 0));
+    expect_same_csr(csr_of(mapped, 1), csr_of(streamed, 1));
+    EXPECT_EQ(mapped.relabel_inv, streamed.relabel_inv);
+    ASSERT_EQ(mapped.adjoin.has_value(), streamed.adjoin.has_value());
+    if (mapped.adjoin) expect_same_csr(mapped.adjoin->graph, streamed.adjoin->graph);
 #endif
-  std::ifstream in(f.path, std::ios::binary);
-  auto          streamed = read_csr_snapshot(in, f.path);
-  EXPECT_FALSE(streamed.zero_copy());
-  EXPECT_FALSE(streamed.edges.csr().is_external());
-#if NWHY_HAS_MMAP
-  expect_same_csr(mapped.edges.csr(), streamed.edges.csr());
-  expect_same_csr(mapped.nodes.csr(), streamed.nodes.csr());
-#endif
-  expect_same_csr(streamed.edges.csr(), hg.hyperedges().csr());
+  }
 }
 
 TEST(CsrSnapshot, PipeStyleStringStreamRoundTrip) {
   NWHypergraph       hg(nwtest::figure1_hypergraph());
-  std::ostringstream out(std::ios::binary);
-  write_csr_snapshot(out, hg.hyperedges(), hg.hypernodes());
-  std::istringstream in(out.str(), std::ios::binary);
+  const std::string  bytes = snapshot_bytes(hg);
+  std::istringstream in(bytes, std::ios::binary);
   auto               snap = read_csr_snapshot(in);
   expect_same_csr(snap.edges.csr(), hg.hyperedges().csr());
   expect_same_csr(snap.nodes.csr(), hg.hypernodes().csr());
+  // The same bytes through a non-seekable stream (the chunked path).
+  pipe_input pipe(bytes);
+  auto       piped = read_csr_snapshot(pipe.in);
+  expect_same_csr(piped.edges.csr(), hg.hyperedges().csr());
+  expect_same_csr(piped.nodes.csr(), hg.hypernodes().csr());
+}
+
+// A pipe delivers the image in 4 MiB reads and grows it as bytes arrive:
+// a snapshot of several chunks must come through intact.
+TEST(CsrSnapshot, PipeStreamLargerThanOneChunkRoundTrips) {
+  NWHypergraph      hg(gen::uniform_random_hypergraph(120000, 120000, 10, 0x91BE));
+  const std::string bytes = snapshot_bytes(hg);
+  ASSERT_GT(bytes.size(), std::size_t{8} << 20);
+  pipe_input pipe(bytes);
+  auto       snap = read_csr_snapshot(pipe.in);
+  expect_same_csr(snap.edges.csr(), hg.hyperedges().csr());
+  expect_same_csr(snap.nodes.csr(), hg.hypernodes().csr());
+  // Truncated by one byte, the same pipe fails as truncation.
+  pipe_input cut(bytes.substr(0, bytes.size() - 1));
+  EXPECT_THROW(read_csr_snapshot(cut.in), io_error);
 }
 
 TEST(CsrSnapshot, AdjoinSectionRoundTrips) {
@@ -494,6 +613,28 @@ TEST(CsrSnapshot, ReadersTolerateUnknownSectionsWithoutTrustingElemSize) {
   EXPECT_EQ(read_csr_snapshot(pin).m, 1u);
 }
 
+// A verified load is a full audit: it hashes every listed section, so a
+// corrupt payload of a kind the loader drops still fails it.
+TEST(CsrSnapshot, VerifiedLoadChecksumsEverySection) {
+  auto bytes = build_tiny_snapshot(/*with_unknown_section=*/true);
+  bytes[bytes.size() - 1] ^= 0x01;  // last byte of the unknown-kind payload
+  scratch_file f("unknown_corrupt");
+  dump(f.path, bytes);
+  EXPECT_THROW(
+      {
+        try {
+          load_csr_snapshot(f.path, /*verify_checksums=*/true);
+        } catch (const io_error& e) {
+          EXPECT_NE(std::string(e.what()).find("checksum mismatch (kind 99)"), std::string::npos)
+              << e.what();
+          throw;
+        }
+      },
+      io_error);
+  // An unverified load never reads the dropped payload.
+  EXPECT_EQ(load_csr_snapshot(f.path).m, 1u);
+}
+
 // A known kind listed twice could have its two copies resolved
 // inconsistently (one copy validated, the other adopted): before
 // parse_header rejected duplicates, a crafted file with two E2N_INDICES
@@ -550,8 +691,25 @@ TEST(CsrSnapshot, HugeClaimedSectionLengthIsIoErrorNotBadAlloc) {
   d::put_u64(e + 8, sec_off);
   d::put_u64(e + 16, sec_len);
   refresh_header_checksum(bytes);
+  auto expect_rejects = [](std::istream& in, const char* needle) {
+    EXPECT_THROW(
+        {
+          try {
+            read_csr_snapshot(in);
+          } catch (const io_error& e) {
+            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+            throw;
+          }
+        },
+        io_error);
+  };
+  // Seekable: the claim is checked against the real length before any
+  // allocation.
   std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(read_csr_snapshot(in), io_error);
+  expect_rejects(in, "stream has 96");
+  // Non-seekable: honest truncation on the first 4 MiB read.
+  pipe_input pipe(bytes);
+  expect_rejects(pipe.in, "stream ended after 96 of");
 }
 
 TEST(CsrSnapshot, CopyOfMmapViewIsOwningDeepCopy) {

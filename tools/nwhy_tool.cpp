@@ -563,7 +563,7 @@ int cmd_inspect(const std::string& path) {
     std::printf("  hyperedges   : %llu\n", static_cast<unsigned long long>(snap.n0));
     std::printf("  hypernodes   : %llu\n", static_cast<unsigned long long>(snap.n1));
     std::printf("  incidences   : %llu\n", static_cast<unsigned long long>(snap.m));
-    std::printf("  load path    : %s\n", snap.zero_copy() ? "mmap (zero-copy)" : "streamed");
+    std::printf("  load path    : %s\n", NWHY_HAS_MMAP ? "mmap (zero-copy)" : "streamed");
     if (!snap.relabel_inv.empty()) {
       std::printf("  relabel      : degree-ordered (inverse map embedded, %zu ids)\n",
                   snap.relabel_inv.size());
