@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check_docs.sh — the doc-truth linter: docs/ and README.md may only
 # name things that exist in the tree, and production code may not call the
-# serial oracles.  Four checks:
+# serial oracles.  Five checks:
 #
 #   1. env knobs, both directions.  Every `NWHY_*` token in the docs must be
 #      read somewhere (a quoted "NWHY_*" string in src/tools/bench/tests/
@@ -27,6 +27,10 @@
 #      (src/nwhy/ref/) and the umbrella src/nwhy.hpp, which re-exports them
 #      for tests and benchmark oracle checks.  Comment-only lines are
 #      skipped.
+#   5. profiles record every knob (full run only).  Every "NWHY_*" name
+#      read through getenv / env_u64_strict / env_knob under src/ or tools/
+#      must be listed in `recorded_env` (src/nwobs/profile.hpp), so a
+#      profile says which knobs shaped its measurement.
 #
 # Usage:
 #   scripts/check_docs.sh                 lint docs/*.md + README.md (both
@@ -34,11 +38,12 @@
 #   scripts/check_docs.sh <file>...       lint only the given files
 #                                         (docs->source directions only)
 #   scripts/check_docs.sh --self-test     negative tests: a synthetic doc
-#                                         citing a nonexistent knob, and a
+#                                         citing a nonexistent knob, a
 #                                         synthetic source tree calling an
-#                                         oracle, must both be rejected, and
-#                                         each rejection must name the
-#                                         culprit
+#                                         oracle, and one reading a knob its
+#                                         profiles omit, must all be
+#                                         rejected, and each rejection must
+#                                         name the culprit
 #
 # Exit status: 0 clean, 1 any drift.  Runs from any cwd; needs only grep.
 set -euo pipefail
@@ -59,6 +64,24 @@ ref_lint() {
     echo "check_docs.sh: production code reaches a serial oracle (nwhy/ref/ is for tests): $line" >&2
   done <<<"$hits"
   return 1
+}
+
+# Check 5 on the tree rooted at $1: prints every NWHY_* knob read under
+# src/ or tools/ that src/nwobs/profile.hpp's recorded_env omits, and fails
+# if there is one.
+profile_lint() {
+  local root=${1%/} knobs_read recorded knob bad=0
+  knobs_read=$(grep -rhoE '(getenv|env_u64_strict|env_knob)\("NWHY_[A-Z0-9_]+"' \
+    "$root/src" "$root/tools" 2>/dev/null | grep -oE 'NWHY_[A-Z0-9_]+' | sort -u || true)
+  recorded=$(sed -n '/recorded_env\[\] = {/,/};/p' "$root/src/nwobs/profile.hpp" \
+    | grep -oE '"NWHY_[A-Z0-9_]+"' | tr -d '"' | sort -u || true)
+  for knob in $knobs_read; do
+    if ! grep -qxF -- "$knob" <<<"$recorded"; then
+      echo "check_docs.sh: knob $knob is read but missing from recorded_env in src/nwobs/profile.hpp" >&2
+      bad=1
+    fi
+  done
+  return "$bad"
 }
 
 if [[ "${1:-}" == "--self-test" ]]; then
@@ -109,7 +132,28 @@ if [[ "${1:-}" == "--self-test" ]]; then
     fi
     rm "$TMP/src/nwhy/algorithms/$name"
   done
-  echo "check_docs.sh: self-test OK (nonexistent knob and production oracle use rejected)"
+  # A knob read under src/ or tools/ but absent from recorded_env must be
+  # rejected by name; recorded knobs must pass.
+  mkdir -p "$TMP/src/nwobs" "$TMP/tools"
+  printf 'inline constexpr const char* recorded_env[] = {\n    "NWHY_SELFTEST_A",\n};\n' \
+    >"$TMP/src/nwobs/profile.hpp"
+  printf 'auto a = env_u64_strict("NWHY_SELFTEST_A", 1);\n' >"$TMP/src/nwhy/algorithms/knob.hpp"
+  if ! profile_lint "$TMP" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — a recorded knob was rejected" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  printf 'const char* b = std::getenv("NWHY_SELFTEST_UNRECORDED");\n' >"$TMP/tools/tool.cpp"
+  if profile_lint "$TMP" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — an unrecorded knob passed the profile lint" >&2
+    exit 1
+  fi
+  if ! grep -q "NWHY_SELFTEST_UNRECORDED" "$TMP/out"; then
+    echo "check_docs.sh: self-test FAILED — rejection did not name the unrecorded knob" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  echo "check_docs.sh: self-test OK (nonexistent knob, production oracle use and unrecorded profile knob rejected)"
   exit 0
 fi
 
@@ -213,6 +257,12 @@ done
 
 if [[ "$FULL" == 1 ]]; then
   ref_lint src || FAIL=1
+fi
+
+# --- check 5: profiles record every knob -----------------------------------
+
+if [[ "$FULL" == 1 ]]; then
+  profile_lint . || FAIL=1
 fi
 
 if [[ "$FAIL" != 0 ]]; then

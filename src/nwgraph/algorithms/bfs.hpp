@@ -183,6 +183,8 @@ std::vector<vertex_id_t> bfs_direction_optimizing(const Graph& g, vertex_id_t so
 
 /// Hop distances from `source` derived by a level-synchronous sweep; used by
 /// the s-distance / s-eccentricity metrics.  Unreachable = null_vertex.
+/// Counts `graph_bfs.levels` and `graph_bfs.edges_relaxed` (each frontier
+/// vertex adds its row length once).
 template <adjacency_list_graph Graph>
 std::vector<vertex_id_t> bfs_distances(const Graph& g, vertex_id_t source) {
   std::vector<vertex_id_t> dist(g.size(), null_vertex<>);
@@ -195,15 +197,19 @@ std::vector<vertex_id_t> bfs_distances(const Graph& g, vertex_id_t source) {
   vertex_id_t level = 0;
   while (!front.empty()) {
     ++level;
+    NWOBS_COUNT("graph_bfs.levels", 1);
     const auto& ids = front.ids();
     par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
+      std::size_t scanned = 0;
       for (auto&& e : g[ids[i]]) {
         vertex_id_t v = target(e);
+        ++scanned;
         if (atomic_load(dist[v]) == null_vertex<> &&
             compare_and_swap(dist[v], null_vertex<>, level)) {
           next.emit(tid, v);
         }
       }
+      NWOBS_COUNT("graph_bfs.edges_relaxed", scanned);
     });
     next.commit_sparse();
     front.swap(next);

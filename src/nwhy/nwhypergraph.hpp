@@ -361,18 +361,17 @@ public:
   [[nodiscard]] s_linegraph make_s_linegraph(std::size_t s, bool edges = true) const {
     const auto& g = live();
     if (edges) {
-      if (relabel_) {
-        // Count overlaps over the internal (degree-ordered) rows — that is
-        // the locality win — then translate pair endpoints back out.
-        auto pairs = to_two_graph_hashmap(g.hyperedges, g.hypernodes, internal_edge_degrees_, s);
-        nw::graph::edge_list<> ext(num_hyperedges());
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-          ext.push_back(relabel_->inv[pairs.source(i)], relabel_->inv[pairs.destination(i)]);
-        }
-        return s_linegraph(std::move(ext), num_hyperedges(), edge_degrees_, s);
-      }
-      return s_linegraph(to_two_graph_hashmap_csr(g.hyperedges, g.hypernodes, edge_degrees_, s),
-                         edge_degrees_, s);
+      // A relabeled hypergraph counts overlaps over its internal
+      // (degree-ordered) rows — that is the locality win — and the workers
+      // map pair endpoints back to external ids in their own buffers, so
+      // both builds assemble the same CSR bytes.
+      std::span<const vertex_id_t> ext_ids;
+      if (relabel_) ext_ids = relabel_->inv;
+      return s_linegraph(
+          to_two_graph_hashmap_csr(g.hyperedges, g.hypernodes,
+                                   relabel_ ? internal_edge_degrees_ : edge_degrees_, s,
+                                   par::blocked{}, ext_ids),
+          edge_degrees_, s);
     }
     // Node-side clique graph: edge ids only act as the transpose dimension,
     // so an edge relabeling cannot change the result.

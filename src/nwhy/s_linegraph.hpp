@@ -30,7 +30,6 @@
 #include "nwgraph/algorithms/mis.hpp"
 #include "nwgraph/algorithms/pagerank.hpp"
 #include "nwgraph/algorithms/triangle_count.hpp"
-#include "nwgraph/edge_list.hpp"
 #include "nwhy/algorithms/s_betweenness.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/rng.hpp"
@@ -39,26 +38,11 @@ namespace nw::hypergraph {
 
 class s_linegraph {
 public:
-  /// Build from a construction algorithm's output (unique {lo, hi} pairs).
-  /// `num_entities` is the cardinality of the underlying id space (nE for a
-  /// line graph, nV for a clique graph); `entity_sizes` are the hyperedge
-  /// sizes used to determine activity.
-  s_linegraph(nw::graph::edge_list<> pairs, std::size_t num_entities,
-              const std::vector<std::size_t>& entity_sizes, std::size_t s)
-      : s_(s), active_(num_entities, false) {
-    pairs.set_num_vertices(num_entities);
-    pairs.symmetrize();
-    pairs.sort_and_unique();
-    graph_ = nw::graph::adjacency<>(pairs, num_entities);
-    for (std::size_t e = 0; e < num_entities; ++e) {
-      active_[e] = entity_sizes.size() > e && entity_sizes[e] >= s_;
-    }
-  }
-
-  /// Direct-CSR path: adopt an already-symmetric, sorted adjacency (the
-  /// output of to_two_graph_*_csr / adjacency<>::from_unique_undirected_pairs)
-  /// without any edge_list round-trip.  The entity count is the adjacency's
-  /// vertex count.
+  /// Adopt an already-symmetric, sorted adjacency (the output of
+  /// to_two_graph_*_csr / adjacency<>::from_unique_undirected_pairs).  The
+  /// entity count — nE for a line graph, nV for a clique graph — is the
+  /// adjacency's vertex count; `entity_sizes` are the hyperedge sizes used
+  /// to determine activity.
   s_linegraph(nw::graph::adjacency<> graph, const std::vector<std::size_t>& entity_sizes,
               std::size_t s)
       : s_(s), active_(graph.size(), false), graph_(std::move(graph)) {

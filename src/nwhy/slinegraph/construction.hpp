@@ -248,12 +248,15 @@ namespace detail {
 
 /// Shared kernel of the hashmap-counting algorithms: process one hyperedge
 /// `ei`, counting overlaps with every larger-id hyperedge reachable through
-/// a shared hypernode, then emit pairs whose count reaches s.
+/// a shared hypernode, then emit pairs whose count reaches s.  A non-empty
+/// `id_map` (row id -> output id) renames both endpoints of each pair this
+/// call appended.
 template <class EGraph, class NGraph>
 void hashmap_process_edge(const EGraph& edges, const NGraph& nodes,
                           const std::vector<std::size_t>& edge_degrees, std::size_t s,
                           vertex_id_t ei, counting_hashmap<>& overlap,
-                          std::vector<std::pair<vertex_id_t, vertex_id_t>>& out) {
+                          std::vector<std::pair<vertex_id_t, vertex_id_t>>& out,
+                          std::span<const vertex_id_t> id_map = {}) {
   if (edge_degrees[ei] < s) return;
   overlap.clear();
   std::size_t probes = 0;
@@ -274,6 +277,12 @@ void hashmap_process_edge(const EGraph& edges, const NGraph& nodes,
       ++emitted;
     }
   });
+  if (!id_map.empty()) {
+    for (auto& [a, b] : std::span(out).last(emitted)) {
+      a = id_map[a];
+      b = id_map[b];
+    }
+  }
   NWOBS_COUNT("slinegraph.hashmap_probes", probes);
   NWOBS_COUNT("slinegraph.candidate_pairs", overlap.size());
   NWOBS_COUNT("slinegraph.pairs_emitted", emitted);
@@ -285,7 +294,7 @@ void hashmap_process_edge(const EGraph& edges, const NGraph& nodes,
 template <class EGraph, class NGraph, class Partition>
 par::per_thread<std::vector<pair_t>>& hashmap_collect(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
-    std::size_t s, Partition part) {
+    std::size_t s, Partition part, std::span<const vertex_id_t> id_map = {}) {
   const std::size_t ne  = edges.size();
   auto&             out = pair_buffers(0);
   par::per_thread<counting_hashmap<>> maps;
@@ -293,7 +302,7 @@ par::per_thread<std::vector<pair_t>>& hashmap_collect(
       0, ne,
       [&](unsigned tid, std::size_t i) {
         hashmap_process_edge(edges, nodes, edge_degrees, s, static_cast<vertex_id_t>(i),
-                             maps.local(tid), out.local(tid));
+                             maps.local(tid), out.local(tid), id_map);
       },
       part);
   return out;
@@ -316,12 +325,16 @@ nw::graph::edge_list<> to_two_graph_hashmap(const EGraph& edges, const NGraph& n
 /// s_linegraph object wants — no intermediate edge_list, no symmetrize, no
 /// global sort.  Identical edge set to
 /// adjacency<>(sort_and_unique(symmetrize(to_two_graph_hashmap(...)))).
+/// A non-empty `id_map` (a permutation of the row ids) renames the
+/// vertices: pairs stay unique and the per-row sort yields the same CSR as
+/// a build over the renamed rows.
 template <class EGraph, class NGraph, class Partition = par::blocked>
 nw::graph::adjacency<> to_two_graph_hashmap_csr(const EGraph& edges, const NGraph& nodes,
                                                 const std::vector<std::size_t>& edge_degrees,
-                                                std::size_t s, Partition part = {}) {
+                                                std::size_t s, Partition part = {},
+                                                std::span<const vertex_id_t> id_map = {}) {
   NWOBS_SCOPE_TIMER("slinegraph.hashmap");
-  auto& out = detail::hashmap_collect(edges, nodes, edge_degrees, s, part);
+  auto& out = detail::hashmap_collect(edges, nodes, edge_degrees, s, part, id_map);
   return detail::materialize_csr(out, edges.size());
 }
 

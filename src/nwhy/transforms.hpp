@@ -12,8 +12,6 @@
 
 #include "nwhy/biadjacency.hpp"
 #include "nwhy/biedgelist.hpp"
-#include "nwhy/relabel.hpp"
-#include "nwpar/parallel_for.hpp"
 #include "nwutil/defs.hpp"
 
 namespace nw::hypergraph {
@@ -130,25 +128,6 @@ inline biedgelist<> induced_subhypergraph(const biedgelist<>& el,
     }
   }
   if (kept_edges) *kept_edges = std::move(kept_local);
-  return out;
-}
-
-/// Remap hyperedge ids of a biedgelist through `perm` (parallel map over
-/// the id column), then re-canonicalize.  Pair with `degree_relabel_maps`
-/// for the degree-ordered locality pass; hypernode ids are untouched.
-inline biedgelist<> relabel_hyperedges(const biedgelist<>& el,
-                                       const std::vector<vertex_id_t>& perm,
-                                       par::thread_pool& pool = par::thread_pool::default_pool()) {
-  NW_ASSERT(perm.size() >= el.num_vertices(0),
-            "relabel permutation must cover every hyperedge id");
-  std::vector<vertex_id_t> edge_ids(el.edge_ids());
-  std::vector<vertex_id_t> node_ids(el.node_ids());
-  par::parallel_for(
-      0, edge_ids.size(), [&](std::size_t i) { edge_ids[i] = perm[edge_ids[i]]; },
-      par::blocked{}, pool);
-  biedgelist<> out(std::move(edge_ids), std::move(node_ids), el.num_vertices(0),
-                   el.num_vertices(1));
-  out.sort_and_unique();
   return out;
 }
 

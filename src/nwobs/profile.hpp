@@ -62,12 +62,15 @@ inline void append_number(std::string& out, double v) {
 }
 
 /// Environment knobs recorded in every profile: the ones that change what
-/// the process measured.
+/// the process measured.  scripts/check_docs.sh fails when a knob read
+/// under src/ or tools/ is missing here.
 inline constexpr const char* recorded_env[] = {
-    "NWHY_NUM_THREADS",  "NWHY_OBS",           "NWHY_BENCH_SCALE",
-    "NWHY_BENCH_REPS",   "NWHY_BENCH_THREADS", "NWHY_BENCH_PROFILE",
-    "NWHY_BFS_ALPHA",    "NWHY_BFS_BETA",      "NWHY_COMPACT_THRESHOLD",
-    "NWHY_DELTA_RESERVE",
+    "NWHY_NUM_THREADS",        "NWHY_OBS",                 "NWHY_BENCH_SCALE",
+    "NWHY_BENCH_REPS",         "NWHY_BENCH_THREADS",       "NWHY_BENCH_PROFILE",
+    "NWHY_BFS_ALPHA",          "NWHY_BFS_BETA",            "NWHY_COMPACT_THRESHOLD",
+    "NWHY_DELTA_RESERVE",      "NWHY_SIMD",                "NWHY_MADVISE",
+    "NWHY_SERVE_THREADS",      "NWHY_SERVE_QUEUE",         "NWHY_SERVE_DEADLINE_MS",
+    "NWHY_BETWEENNESS_BATCH",  "NWHY_BETWEENNESS_SAMPLES", "NWHY_SHARD_TARGET_BYTES",
 };
 
 }  // namespace detail

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -347,6 +348,29 @@ TEST_F(NwobsTest, BetweennessEmitsBatchAndDependencyCounters) {
   EXPECT_GT(counters.at("betweenness.levels"), 0u);
   EXPECT_GT(counters.at("betweenness.dependencies"), 0u);
   EXPECT_TRUE(registry::get().timers_snapshot().contains("betweenness"));
+}
+
+TEST_F(NwobsTest, SDistanceCountsGraphBfsRowsOncePerFrontierVertex) {
+  // Hyperedge i = {i, i+1}: at s = 1 the line graph is the path
+  // e0-e1-...-e5, whose CSR holds 2 * 5 = 10 directed entries.  A BFS sweep
+  // from any source reaches every vertex and reads each row exactly once.
+  biedgelist<> el;
+  for (vertex_id_t e = 0; e < 6; ++e) {
+    el.push_back(e, e);
+    el.push_back(e, e + 1);
+  }
+  auto lg = NWHypergraph(std::move(el)).make_s_linegraph(1);
+  ASSERT_EQ(lg.num_edges(), 5u);
+  registry::get().reset();  // drop the construction counters
+  EXPECT_EQ(lg.s_distance(0, 5), std::optional<std::size_t>{5});
+  auto counters = registry::get().counters_snapshot();
+  EXPECT_EQ(counters.at("graph_bfs.edges_relaxed"), 10u);
+  EXPECT_EQ(counters.at("graph_bfs.levels"), 6u);  // {0}, {1}, ..., {5}
+  registry::get().reset();
+  EXPECT_EQ(lg.s_distance(2, 5), std::optional<std::size_t>{3});
+  counters = registry::get().counters_snapshot();
+  EXPECT_EQ(counters.at("graph_bfs.edges_relaxed"), 10u);
+  EXPECT_EQ(counters.at("graph_bfs.levels"), 4u);  // {2}, {1, 3}, {0, 4}, {5}
 }
 
 TEST_F(NwobsTest, MotifEmitsWedgeCounters) {

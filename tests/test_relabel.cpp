@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include "nwhy/gen/generators.hpp"
 #include "nwhy/nwhypergraph.hpp"
 #include "nwhy/relabel.hpp"
+#include "nwobs/counters.hpp"
 #include "prop_harness.hpp"
 
 using namespace nw::hypergraph;
@@ -109,6 +111,31 @@ void expect_query_equivalence(const NWHypergraph& plain, const NWHypergraph& twi
   }
 }
 
+/// The relabeled s-line build must give the plain build's CSR byte for
+/// byte, with the same overlap counts, through the direct CSR assembly
+/// (`slinegraph.csr_build`) and never the edge-list merge.
+void expect_identical_s_linegraphs(const NWHypergraph& plain, const NWHypergraph& twin) {
+  auto&      reg    = nw::obs::registry::get();
+  const auto counts = [&reg] {
+    return std::pair{reg.get_counter("slinegraph.pairs_emitted").value(),
+                     reg.get_counter("slinegraph.candidate_pairs").value()};
+  };
+  const auto as_vector = [](auto span) { return std::vector(span.begin(), span.end()); };
+  for (std::size_t s : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    reg.reset();
+    auto       lg_a        = plain.make_s_linegraph(s);
+    const auto plain_count = counts();
+    reg.reset();
+    auto lg_b = twin.make_s_linegraph(s);
+    ASSERT_EQ(counts(), plain_count) << "s=" << s;
+    const auto timers = reg.timers_snapshot();
+    ASSERT_TRUE(timers.contains("slinegraph.csr_build")) << "s=" << s;
+    ASSERT_FALSE(timers.contains("slinegraph.merge")) << "s=" << s;
+    ASSERT_EQ(as_vector(lg_a.graph().indices()), as_vector(lg_b.graph().indices())) << "s=" << s;
+    ASSERT_EQ(as_vector(lg_a.graph().targets()), as_vector(lg_b.graph().targets())) << "s=" << s;
+  }
+}
+
 }  // namespace
 
 TEST(Relabel, PermutationMatchesSerialOracleAcrossSeedsAndThreads) {
@@ -167,6 +194,7 @@ TEST(Relabel, FacadeInvisibilityAcrossSeedsAndThreads) {
       ASSERT_TRUE(twin.is_relabeled());
       ASSERT_FALSE(plain.is_relabeled());
       expect_query_equivalence(plain, twin);
+      expect_identical_s_linegraphs(plain, twin);
     }
   }
 }
