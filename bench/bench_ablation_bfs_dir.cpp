@@ -1,7 +1,9 @@
 // bench/bench_ablation_bfs_dir.cpp — ablation C (Sec. III-C.1/2): top-down
 // vs bottom-up vs direction-optimizing BFS, on both the bipartite and the
 // adjoin representations.  Direction-optimization is what separates
-// AdjoinBFS from the top-down HygraBFS comparator.
+// AdjoinBFS from the top-down HygraBFS comparator.  The one-direction series
+// pin the direction-optimizing engines with alpha/beta: alpha = 1 stays
+// top-down, alpha = 2^20 with beta = SIZE_MAX stays bottom-up.
 #include <benchmark/benchmark.h>
 
 #include "nwhy.hpp"
@@ -9,6 +11,10 @@
 namespace {
 
 using namespace nw::hypergraph;
+
+constexpr std::size_t top_down_alpha  = 1;
+constexpr std::size_t bottom_up_alpha = std::size_t{1} << 20;
+constexpr std::size_t bottom_up_beta  = SIZE_MAX;
 
 struct fixture {
   biadjacency<0> hyperedges;
@@ -33,7 +39,7 @@ const fixture& data() {
 void BM_HyperBFS_TopDown(benchmark::State& state) {
   const auto& f = data();
   for (auto _ : state) {
-    auto r = hyper_bfs_top_down(f.hyperedges, f.hypernodes, f.source);
+    auto r = hyper_bfs(f.hyperedges, f.hypernodes, f.source, top_down_alpha);
     benchmark::DoNotOptimize(r.parents_edge.data());
   }
 }
@@ -41,7 +47,7 @@ void BM_HyperBFS_TopDown(benchmark::State& state) {
 void BM_HyperBFS_BottomUp(benchmark::State& state) {
   const auto& f = data();
   for (auto _ : state) {
-    auto r = hyper_bfs_bottom_up(f.hyperedges, f.hypernodes, f.source);
+    auto r = hyper_bfs(f.hyperedges, f.hypernodes, f.source, bottom_up_alpha, bottom_up_beta);
     benchmark::DoNotOptimize(r.parents_edge.data());
   }
 }
@@ -57,7 +63,7 @@ void BM_HyperBFS_DirectionOptimizing(benchmark::State& state) {
 void BM_AdjoinBFS_TopDown(benchmark::State& state) {
   const auto& f = data();
   for (auto _ : state) {
-    auto r = nw::graph::bfs_top_down(f.adjoin.graph, f.source);
+    auto r = nw::graph::bfs_direction_optimizing(f.adjoin.graph, f.source, top_down_alpha);
     benchmark::DoNotOptimize(r.data());
   }
 }

@@ -71,6 +71,10 @@ case "$MODE" in
     # the counter slots under two engines on their own one-context pools.
     "$BUILD"/tests/test_implicit
     "$BUILD"/tests/test_nwobs
+    # HyperBFS and AdjoinBFS, both directions, on the shared level step
+    # (CAS claims, per-thread emission, atomic bitmap pulls).
+    "$BUILD"/tests/test_hyper_algorithms
+    "$BUILD"/tests/test_cross_representation
     ;;
   ubsan)
     BUILD=${2:-build-ubsan}

@@ -1,142 +1,47 @@
 // nwgraph/algorithms/bfs.hpp
 //
-// Parallel breadth-first search on CSR graphs:
-//   * top-down   — frontier expands via outgoing edges; parents claimed by CAS
-//   * bottom-up  — every unvisited vertex scans its neighbors for a frontier
-//                  member (Beamer et al.'s idea); wins on huge frontiers
-//   * direction-optimizing — switches between the two using the standard
-//                  alpha/beta heuristics (the AdjoinBFS engine of Sec. III-C.2)
-//
-// All engines sit on the par::frontier substrate (nwpar/frontier.hpp):
-// hybrid sparse/dense frontiers with parallel conversions, keep-capacity
-// buffer reuse across levels, and the fused scout count — top-down steps
-// accumulate the next frontier's degree sum per thread while emitting it,
-// so the alpha switch test never runs a separate serial degree pass.
-//
-// All variants return the parent array; parents[source] == source and
-// unreached vertices hold null_vertex.
+// Parallel breadth-first search on CSR graphs: direction-optimizing BFS
+// (the AdjoinBFS engine of Sec. III-C.2), which picks top-down or
+// bottom-up per level by Beamer's alpha/beta heuristics, and hop distances
+// with an optional target exit.  Both are loops of the one level step
+// (par::push_step / par::pull_step, nwpar/frontier.hpp) over CSR rows.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "nwgraph/concepts.hpp"
 #include "nwobs/counters.hpp"
 #include "nwpar/frontier.hpp"
-#include "nwpar/parallel_for.hpp"
 #include "nwutil/atomics.hpp"
-#include "nwutil/bitmap.hpp"
 #include "nwutil/defs.hpp"
 
 namespace nw::graph {
 
-/// What one BFS step reports back to the direction-optimizing loop.
-struct bfs_step_stats {
-  std::size_t added   = 0;  ///< vertices claimed into the next frontier
-  std::size_t scanned = 0;  ///< edges examined (edges_remaining bookkeeping)
-  std::size_t scout   = 0;  ///< fused degree sum of the next frontier
-};
-
-/// One top-down step: expand `front` (sparse) into `next` (sparse), claiming
-/// parents via CAS.  When the graph enumerates degrees, the next frontier's
-/// degree sum is fused into the emission (scout count).
-template <adjacency_list_graph Graph>
-bfs_step_stats bfs_top_down_step(const Graph& g, par::frontier& front, par::frontier& next,
-                                 std::vector<vertex_id_t>& parents) {
-  const auto&                  ids = front.ids();
-  par::per_thread<std::size_t> scanned;
-  par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
-    vertex_id_t u     = ids[i];
-    std::size_t local = 0;
+/// The row generator of the level step over any `g[u]` range of ranges
+/// (CSR, biadjacency, compressed views, vector-of-vectors).
+template <class Graph>
+auto csr_rows(const Graph& g) {
+  return [&g](unsigned, vertex_id_t u, auto&& visit) {
     for (auto&& e : g[u]) {
-      vertex_id_t v = target(e);
-      ++local;
-      if (atomic_load(parents[v]) == null_vertex<> &&
-          compare_and_swap(parents[v], null_vertex<>, u)) {
-        if constexpr (degree_enumerable_graph<Graph>) {
-          next.emit(tid, v, g.degree(v));
-        } else {
-          next.emit(tid, v);
-        }
-      }
+      if (!visit(target(e))) return;
     }
-    scanned.local(tid) += local;
-  });
-  bfs_step_stats st;
-  st.added = next.commit_sparse();
-  st.scout = next.take_scout();
-  scanned.for_each([&](std::size_t& s) { st.scanned += s; });
-  return st;
-}
-
-/// One bottom-up step: every unvisited vertex probes the dense `front`
-/// bitmap through its own adjacency; claimed vertices are emitted straight
-/// into `next`'s bitmap (atomic per-word OR), with the scout count fused.
-template <adjacency_list_graph Graph>
-bfs_step_stats bfs_bottom_up_step(const Graph& g, par::frontier& front, par::frontier& next,
-                                  std::vector<vertex_id_t>& parents) {
-  const nw::bitmap& fb = front.bits();
-  next.begin_dense();
-  par::per_thread<std::size_t> scanned;
-  par::parallel_for(0, g.size(), [&](unsigned tid, std::size_t v) {
-    if (parents[v] != null_vertex<>) return;
-    std::size_t local = 0;
-    for (auto&& e : g[v]) {
-      vertex_id_t u = target(e);
-      ++local;
-      if (fb.get(u)) {
-        parents[v] = u;
-        if constexpr (degree_enumerable_graph<Graph>) {
-          next.emit_dense(tid, static_cast<vertex_id_t>(v), g.degree(v));
-        } else {
-          next.emit_dense(tid, static_cast<vertex_id_t>(v));
-        }
-        break;
-      }
-    }
-    scanned.local(tid) += local;
-  });
-  bfs_step_stats st;
-  st.added = next.commit_dense();
-  st.scout = next.take_scout();
-  scanned.for_each([&](std::size_t& s) { st.scanned += s; });
-  return st;
-}
-
-/// Pure top-down BFS (the HygraBFS-style engine).
-template <adjacency_list_graph Graph>
-std::vector<vertex_id_t> bfs_top_down(const Graph& g, vertex_id_t source) {
-  std::vector<vertex_id_t> parents(g.size(), null_vertex<>);
-  if (g.size() == 0) return parents;
-  parents[source] = source;
-  par::frontier front(g.size()), next(g.size());
-  front.assign_single(source);
-  while (!front.empty()) {
-    bfs_top_down_step(g, front, next, parents);
-    front.swap(next);
-  }
-  return parents;
-}
-
-/// Pure bottom-up BFS (every level sweeps all vertices).
-template <adjacency_list_graph Graph>
-std::vector<vertex_id_t> bfs_bottom_up(const Graph& g, vertex_id_t source) {
-  std::vector<vertex_id_t> parents(g.size(), null_vertex<>);
-  if (g.size() == 0) return parents;
-  parents[source] = source;
-  par::frontier front(g.size()), next(g.size());
-  front.assign_single(source);
-  while (bfs_bottom_up_step(g, front, next, parents).added > 0) {
-    front.swap(next);
-  }
-  return parents;
+  };
 }
 
 /// Direction-optimizing BFS (Beamer et al.): start top-down, switch to
 /// bottom-up when the frontier's fused scout count exceeds 1/alpha of the
 /// remaining edges, and back when the frontier shrinks below |V|/beta.
-/// alpha/beta of 0 take the process defaults (NWHY_BFS_ALPHA/NWHY_BFS_BETA
-/// env overrides, else 15/18).  Both step kinds decrement edges_remaining,
-/// so a later top-down re-switch never sees a stale edge estimate.
+/// Returns the parent array: parents[source] == source, unreached vertices
+/// hold null_vertex.  alpha/beta of 0 take the process defaults
+/// (NWHY_BFS_ALPHA/NWHY_BFS_BETA env overrides, else 15/18).  Both step
+/// kinds decrement edges_remaining, so a later top-down re-switch never
+/// sees a stale edge estimate.
+///
+/// Forcing one direction: alpha = 1 stays top-down throughout (the scout
+/// count never exceeds the unscanned edges); alpha = 2^20 with beta =
+/// SIZE_MAX goes bottom-up from the first level with an edge and never
+/// returns (graphs under 2^20 edges).
 template <degree_enumerable_graph Graph>
 std::vector<vertex_id_t> bfs_direction_optimizing(const Graph& g, vertex_id_t source,
                                                   std::size_t alpha = 0, std::size_t beta = 0) {
@@ -146,11 +51,18 @@ std::vector<vertex_id_t> bfs_direction_optimizing(const Graph& g, vertex_id_t so
   if (g.size() == 0) return parents;
   parents[source] = source;
 
-  par::frontier front(g.size()), next(g.size());
+  auto&         pool = par::thread_pool::default_pool();
+  par::frontier front(g.size(), pool), next(g.size(), pool);
   front.assign_single(source);
   std::size_t edges_remaining = g.num_edges();
   std::size_t scout           = g.degree(source);
   bool        bottom_up       = false;
+
+  const auto rows      = csr_rows(g);
+  const auto claim     = [&](vertex_id_t u, vertex_id_t v) { return claim_unset(parents[v], u); };
+  const auto settle    = [&](vertex_id_t u, vertex_id_t v) { parents[v] = u; };
+  const auto unvisited = [&](vertex_id_t v) { return parents[v] == null_vertex<>; };
+  const auto degree    = [&](vertex_id_t v) { return g.degree(v); };
 
   while (!front.empty()) {
     NWOBS_COUNT("graph_bfs.levels", 1);
@@ -165,13 +77,14 @@ std::vector<vertex_id_t> bfs_direction_optimizing(const Graph& g, vertex_id_t so
       bottom_up = false;
       NWOBS_COUNT("graph_bfs.direction_switches", 1);
     }
-    bfs_step_stats st;
+    par::step_stats st;
     if (bottom_up) {
       NWOBS_COUNT("graph_bfs.steps_bottom_up", 1);
-      st = bfs_bottom_up_step(g, front, next, parents);
+      st = par::pull_step(front, next, rows, unvisited, settle, degree, par::never_stop{}, pool);
     } else {
       NWOBS_COUNT("graph_bfs.steps_top_down", 1);
-      st = bfs_top_down_step(g, front, next, parents);
+      st = par::push_step(front, next, rows, claim, degree, null_vertex<>, par::never_stop{},
+                          pool);
     }
     NWOBS_COUNT("graph_bfs.edges_relaxed", st.scanned);
     edges_remaining -= std::min(edges_remaining, st.scanned);
@@ -181,37 +94,33 @@ std::vector<vertex_id_t> bfs_direction_optimizing(const Graph& g, vertex_id_t so
   return parents;
 }
 
-/// Hop distances from `source` derived by a level-synchronous sweep; used by
-/// the s-distance / s-eccentricity metrics.  Unreachable = null_vertex.
-/// Counts `graph_bfs.levels` and `graph_bfs.edges_relaxed` (each frontier
-/// vertex adds its row length once).
+/// Hop distances from `source` by top-down level steps; used by the
+/// s-distance / s-path / s-eccentricity metrics.  Unreachable =
+/// null_vertex.  With a `target`, the sweep ends at the level that claims
+/// it: every vertex nearer than the target holds its distance, farther
+/// ones may stay null_vertex.  Counts `graph_bfs.levels` (levels expanded)
+/// and `graph_bfs.edges_relaxed` (each expanded frontier vertex adds its
+/// row length once).
 template <adjacency_list_graph Graph>
-std::vector<vertex_id_t> bfs_distances(const Graph& g, vertex_id_t source) {
+std::vector<vertex_id_t> bfs_distances(const Graph& g, vertex_id_t source,
+                                       vertex_id_t target = null_vertex<>) {
   std::vector<vertex_id_t> dist(g.size(), null_vertex<>);
   if (g.size() == 0) return dist;
   dist[source] = 0;
-  // Two frontier objects whose id vectors and per-thread emission buffers
-  // all keep capacity across levels.
-  par::frontier front(g.size()), next(g.size());
+  if (source == target) return dist;
+  auto&         pool = par::thread_pool::default_pool();
+  par::frontier front(g.size(), pool), next(g.size(), pool);
   front.assign_single(source);
   vertex_id_t level = 0;
   while (!front.empty()) {
     ++level;
     NWOBS_COUNT("graph_bfs.levels", 1);
-    const auto& ids = front.ids();
-    par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
-      std::size_t scanned = 0;
-      for (auto&& e : g[ids[i]]) {
-        vertex_id_t v = target(e);
-        ++scanned;
-        if (atomic_load(dist[v]) == null_vertex<> &&
-            compare_and_swap(dist[v], null_vertex<>, level)) {
-          next.emit(tid, v);
-        }
-      }
-      NWOBS_COUNT("graph_bfs.edges_relaxed", scanned);
-    });
-    next.commit_sparse();
+    const auto st = par::push_step(
+        front, next, csr_rows(g),
+        [&](vertex_id_t, vertex_id_t v) { return claim_unset(dist[v], level); }, par::no_weight{},
+        target, par::never_stop{}, pool);
+    NWOBS_COUNT("graph_bfs.edges_relaxed", st.scanned);
+    if (st.hit) break;
     front.swap(next);
   }
   return dist;

@@ -8,28 +8,26 @@
 // algorithm-specific structure (frontier, parents) — the bookkeeping
 // drawback of the bi-adjacency representation the paper calls out.
 //
-// Both a top-down and a bottom-up engine are provided, plus a
-// direction-optimizing combination driven by the proper Beamer alpha/beta
+// One direction-optimizing engine, driven by the Beamer alpha/beta
 // heuristics: each half-step's fused scout count (degree sum of the next
-// frontier in the side it will expand through, accumulated per thread
-// while emitting) feeds the alpha switch test, and bottom-up half-steps
-// emit the next frontier's bitmap directly (atomic word OR) instead of
-// re-setting a merged vector serially.  All frontiers are par::frontier
-// objects — hybrid sparse/dense with parallel conversions and
+// frontier in the side it will expand through, accumulated per thread while
+// emitting) feeds the alpha switch test.  Every half-step is one
+// par::push_step (top-down) or par::pull_step (bottom-up, emitting the next
+// frontier's bitmap directly) over the incidence rows; the frontiers are
+// par::frontier objects — hybrid sparse/dense with parallel conversions and
 // keep-capacity reuse across levels.
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
+#include "nwgraph/algorithms/bfs.hpp"
 #include "nwhy/biadjacency.hpp"
 #include "nwobs/counters.hpp"
 #include "nwobs/scope_timer.hpp"
 #include "nwpar/cancel.hpp"
 #include "nwpar/frontier.hpp"
-#include "nwpar/parallel_for.hpp"
 #include "nwutil/atomics.hpp"
-#include "nwutil/bitmap.hpp"
 #include "nwutil/defs.hpp"
 
 namespace nw::hypergraph {
@@ -49,167 +47,38 @@ struct hyper_bfs_result {
 
 namespace detail {
 
-/// What one half-step reports to the direction-optimizing loop.
-struct expand_stats {
-  std::size_t added   = 0;  ///< entities claimed into the next frontier
-  std::size_t scanned = 0;  ///< incidences examined this half-step
-  std::size_t scout   = 0;  ///< fused degree sum of the next frontier
-};
-
-/// Top-down expansion of the sparse `front` (ids in the source class)
-/// through `graph` into the target class, emitting into `next`.
-/// `next_graph` is the incidence the emitted entities will expand through
-/// on the following half-step; its degrees feed the fused scout count.
-template <class Graph, class NextGraph>
-expand_stats expand_top_down(const Graph& graph, const NextGraph& next_graph,
-                             par::frontier& front, par::frontier& next,
-                             std::vector<vertex_id_t>& parents_target,
-                             std::vector<vertex_id_t>& dist_target, vertex_id_t level,
-                             par::thread_pool& pool) {
-  const auto&                  ids = front.ids();
-  par::per_thread<std::size_t> scanned(pool);
-  par::parallel_for(
-      0, ids.size(),
-      [&](unsigned tid, std::size_t i) {
-        vertex_id_t u     = ids[i];
-        std::size_t local = 0;
-        for (auto&& e : graph[u]) {
-          vertex_id_t v = target(e);
-          ++local;
-          if (atomic_load(parents_target[v]) == null_vertex<> &&
-              compare_and_swap(parents_target[v], null_vertex<>, u)) {
-            dist_target[v] = level;
-            next.emit(tid, v, next_graph.degree(v));
-          }
-        }
-        scanned.local(tid) += local;
-        NWOBS_COUNT("hyper_bfs.edges_relaxed", local);
+/// One half-step from the `from` side to the `to` side.  Top-down, the
+/// frontier expands its `from` rows; bottom-up, every unreached `to` entity
+/// scans its own `to` row for a frontier member.  Claims land in the `to`
+/// side's own arrays; the `to` degrees, the rows the claimed entities
+/// expand through next, are the scout weights.
+template <class From, class To, class Stop>
+par::step_stats half_step(const From& from, const To& to, bool bottom_up, par::frontier& cur,
+                          par::frontier& nxt, std::vector<vertex_id_t>& parents,
+                          std::vector<vertex_id_t>& dist, vertex_id_t level, Stop& stop,
+                          par::thread_pool& pool) {
+  const auto degree = [&](vertex_id_t v) { return to.degree(v); };
+  if (bottom_up) {
+    return par::pull_step(
+        cur, nxt, nw::graph::csr_rows(to),
+        [&](vertex_id_t v) { return parents[v] == null_vertex<>; },
+        [&](vertex_id_t u, vertex_id_t v) {
+          parents[v] = u;
+          dist[v]    = level;
+        },
+        degree, stop, pool);
+  }
+  return par::push_step(
+      cur, nxt, nw::graph::csr_rows(from),
+      [&](vertex_id_t u, vertex_id_t v) {
+        if (!claim_unset(parents[v], u)) return false;
+        dist[v] = level;
+        return true;
       },
-      par::blocked{}, pool);
-  expand_stats st;
-  st.added = next.commit_sparse();
-  st.scout = next.take_scout();
-  scanned.for_each([&](std::size_t& s) { st.scanned += s; });
-  return st;
-}
-
-/// Bottom-up expansion: every unvisited entity of the target class scans
-/// its own incidence list (`graph_target_side`) for a member of the dense
-/// `front` bitmap.  Claimed entities are emitted straight into `next`'s
-/// bitmap — no merged vector, no serial re-set.  `graph_target_side` is
-/// also the incidence the claimed entities expand through next, so its
-/// degrees feed the fused scout count.
-template <class Graph>
-expand_stats expand_bottom_up(const Graph& graph_target_side, par::frontier& front,
-                              par::frontier& next, std::vector<vertex_id_t>& parents_target,
-                              std::vector<vertex_id_t>& dist_target, vertex_id_t level,
-                              par::thread_pool& pool) {
-  const nw::bitmap& fb = front.bits();
-  next.begin_dense();
-  par::per_thread<std::size_t> scanned(pool);
-  par::parallel_for(
-      0, graph_target_side.size(),
-      [&](unsigned tid, std::size_t v) {
-        if (parents_target[v] != null_vertex<>) return;
-        std::size_t local = 0;
-        for (auto&& e : graph_target_side[v]) {
-          vertex_id_t u = target(e);
-          ++local;
-          if (fb.get(u)) {
-            parents_target[v] = u;
-            dist_target[v]    = level;
-            next.emit_dense(tid, static_cast<vertex_id_t>(v), graph_target_side.degree(v));
-            break;
-          }
-        }
-        scanned.local(tid) += local;
-        NWOBS_COUNT("hyper_bfs.edges_relaxed", local);
-      },
-      par::blocked{}, pool);
-  expand_stats st;
-  st.added = next.commit_dense();
-  st.scout = next.take_scout();
-  scanned.for_each([&](std::size_t& s) { st.scanned += s; });
-  return st;
-}
-
-/// Record one BFS half-step (level) and its frontier size into the
-/// observability registry.  No-op under -DNWHY_OBS=0.
-inline void record_level(std::size_t frontier_size) {
-  (void)frontier_size;
-  NWOBS_COUNT("hyper_bfs.levels", 1);
-  NWOBS_COUNT("hyper_bfs.frontier_total", frontier_size);
-  NWOBS_GAUGE_MAX("hyper_bfs.frontier_peak", frontier_size);
+      degree, null_vertex<>, stop, pool);
 }
 
 }  // namespace detail
-
-/// Top-down HyperBFS from hyperedge `source`.  Generic over the CSR-like
-/// structures: `biadjacency<0>`/`biadjacency<1>` or block-decoding
-/// `compressed_adjacency` views (size/num_edges/degree/operator[] is all
-/// the engines consume).
-template <class EGraph, class NGraph>
-hyper_bfs_result hyper_bfs_top_down(const EGraph& hyperedges, const NGraph& hypernodes,
-                                    vertex_id_t source) {
-  hyper_bfs_result r;
-  r.parents_edge.assign(hyperedges.size(), null_vertex<>);
-  r.parents_node.assign(hypernodes.size(), null_vertex<>);
-  r.dist_edge.assign(hyperedges.size(), null_vertex<>);
-  r.dist_node.assign(hypernodes.size(), null_vertex<>);
-  if (source >= hyperedges.size()) return r;
-
-  NWOBS_SCOPE_TIMER("hyper_bfs_top_down");
-  r.parents_edge[source] = source;
-  r.dist_edge[source]    = 0;
-  par::frontier f_edge(hyperedges.size()), f_node(hypernodes.size());
-  f_edge.assign_single(source);
-  vertex_id_t level = 0;
-  while (!f_edge.empty()) {
-    detail::record_level(f_edge.size());
-    auto to_nodes =
-        detail::expand_top_down(hyperedges, hypernodes, f_edge, f_node, r.parents_node,
-                                r.dist_node, ++level, par::thread_pool::default_pool());
-    if (to_nodes.added == 0) break;
-    detail::record_level(f_node.size());
-    detail::expand_top_down(hypernodes, hyperedges, f_node, f_edge, r.parents_edge, r.dist_edge,
-                            ++level, par::thread_pool::default_pool());
-  }
-  return r;
-}
-
-/// Bottom-up HyperBFS: each half-step sweeps the whole unvisited side.
-template <class EGraph, class NGraph>
-hyper_bfs_result hyper_bfs_bottom_up(const EGraph& hyperedges, const NGraph& hypernodes,
-                                     vertex_id_t source) {
-  hyper_bfs_result r;
-  r.parents_edge.assign(hyperedges.size(), null_vertex<>);
-  r.parents_node.assign(hypernodes.size(), null_vertex<>);
-  r.dist_edge.assign(hyperedges.size(), null_vertex<>);
-  r.dist_node.assign(hypernodes.size(), null_vertex<>);
-  if (source >= hyperedges.size()) return r;
-
-  NWOBS_SCOPE_TIMER("hyper_bfs_bottom_up");
-  r.parents_edge[source] = source;
-  r.dist_edge[source]    = 0;
-  par::frontier f_edge(hyperedges.size()), f_node(hypernodes.size());
-  f_edge.assign_single(source);
-  vertex_id_t level = 0;
-  while (!f_edge.empty()) {
-    detail::record_level(f_edge.size());
-    // Hypernode side scans its incident hyperedges for frontier members;
-    // the next bitmap is emitted directly, one atomic OR per claim.
-    auto to_nodes = detail::expand_bottom_up(hypernodes, f_edge, f_node, r.parents_node,
-                                             r.dist_node, ++level,
-                                             par::thread_pool::default_pool());
-    if (to_nodes.added == 0) break;
-    detail::record_level(to_nodes.added);
-    auto to_edges = detail::expand_bottom_up(hyperedges, f_node, f_edge, r.parents_edge,
-                                             r.dist_edge, ++level,
-                                             par::thread_pool::default_pool());
-    if (to_edges.added == 0) break;
-  }
-  return r;
-}
 
 /// A hyperpath between two hyperedges: the alternating sequence
 /// e_src, v, e, v, ..., e_dst extracted from a BFS forest (the hyperpath /
@@ -232,15 +101,21 @@ inline std::vector<vertex_id_t> extract_hyperpath(const hyper_bfs_result& bfs,
   return path;
 }
 
-/// Direction-optimizing HyperBFS: per half-step, choose bottom-up when the
-/// frontier's fused scout count (degree sum in the incidence it is about to
-/// expand through) exceeds 1/alpha of the unexplored incidences, and switch
-/// back to top-down once the frontier shrinks below |target side| / beta —
-/// the same Beamer heuristics as the graph engine, replacing the old crude
-/// |frontier| > |side|/20 rule.  alpha/beta of 0 take the process defaults
-/// (NWHY_BFS_ALPHA / NWHY_BFS_BETA env overrides, else 15/18).  `stop` is
-/// polled once per half-step on the calling thread; when it fires, the
-/// search throws par::cancelled.
+/// Direction-optimizing HyperBFS from hyperedge `source`: per half-step,
+/// choose bottom-up when the frontier's fused scout count (degree sum in the
+/// incidence it is about to expand through) exceeds 1/alpha of the
+/// unexplored incidences, and switch back to top-down once the frontier
+/// shrinks below |target side| / beta — the same Beamer heuristics as the
+/// graph engine.  alpha/beta of 0 take the process defaults (NWHY_BFS_ALPHA
+/// / NWHY_BFS_BETA env overrides, else 15/18).  Forcing one direction:
+/// alpha = 1 stays top-down throughout; alpha = 2^20 with beta = SIZE_MAX
+/// goes bottom-up from the first half-step and never returns (inputs under
+/// 2^20 incidences).  Generic over the CSR-like structures:
+/// `biadjacency<0>`/`biadjacency<1>` or block-decoding
+/// `compressed_adjacency` views (size/num_edges/degree/operator[] is all
+/// the engine consumes).  `stop` is polled once per frontier vertex of a
+/// top-down half-step and once before each bottom-up half-step; when it
+/// fires, the search throws par::cancelled from the calling thread.
 template <class EGraph, class NGraph, class Stop = par::never_stop>
 hyper_bfs_result hyper_bfs(const EGraph& hyperedges, const NGraph& hypernodes,
                            vertex_id_t source, std::size_t alpha = 0, std::size_t beta = 0,
@@ -272,8 +147,9 @@ hyper_bfs_result hyper_bfs(const EGraph& hyperedges, const NGraph& hypernodes,
   vertex_id_t level           = 0;
 
   while (!cur->empty()) {
-    if (stop()) throw par::cancelled{};
-    detail::record_level(cur->size());
+    NWOBS_COUNT("hyper_bfs.levels", 1);
+    NWOBS_COUNT("hyper_bfs.frontier_total", cur->size());
+    NWOBS_GAUGE_MAX("hyper_bfs.frontier_peak", cur->size());
     NWOBS_COUNT("hyper_bfs.scout_count", scout);
     NWOBS_GAUGE_MAX("hyper_bfs.frontier_density_permille", cur->density_permille());
     const std::size_t target_side = edge_side ? hypernodes.size() : hyperedges.size();
@@ -291,18 +167,11 @@ hyper_bfs_result hyper_bfs(const EGraph& hyperedges, const NGraph& hypernodes,
       NWOBS_COUNT("hyper_bfs.steps_top_down", 1);
     }
     ++level;
-    detail::expand_stats st;
-    if (edge_side) {
-      st = bottom_up ? detail::expand_bottom_up(hypernodes, *cur, *nxt, r.parents_node,
-                                                r.dist_node, level, pool)
-                     : detail::expand_top_down(hyperedges, hypernodes, *cur, *nxt,
-                                               r.parents_node, r.dist_node, level, pool);
-    } else {
-      st = bottom_up ? detail::expand_bottom_up(hyperedges, *cur, *nxt, r.parents_edge,
-                                                r.dist_edge, level, pool)
-                     : detail::expand_top_down(hypernodes, hyperedges, *cur, *nxt,
-                                               r.parents_edge, r.dist_edge, level, pool);
-    }
+    const auto st = edge_side ? detail::half_step(hyperedges, hypernodes, bottom_up, *cur, *nxt,
+                                                  r.parents_node, r.dist_node, level, stop, pool)
+                              : detail::half_step(hypernodes, hyperedges, bottom_up, *cur, *nxt,
+                                                  r.parents_edge, r.dist_edge, level, stop, pool);
+    NWOBS_COUNT("hyper_bfs.edges_relaxed", st.scanned);
     edges_remaining -= std::min(edges_remaining, st.scanned);
     scout = st.scout;
     std::swap(cur, nxt);

@@ -43,6 +43,7 @@
 #include <numeric>
 #include <vector>
 
+#include "nwgraph/algorithms/bfs.hpp"
 #include "nwgraph/concepts.hpp"
 #include "nwobs/counters.hpp"
 #include "nwobs/scope_timer.hpp"
@@ -79,13 +80,13 @@ struct brandes_scratch {
   std::vector<std::size_t> level_start;
 };
 
-/// Level-synchronous forward pass from `s`: BFS levels via frontier
-/// expansion (parallel CAS claims into `dist`), then sigma for each new
-/// level pulled from the parent level in CSR neighbor order — one writer
-/// per sigma[v], summing in a schedule-independent order.  (Sigma values
-/// are integer path counts, exact in doubles below 2^53, so they would
-/// agree with the push formulation regardless; the pull keeps the whole
-/// pass atomics-free past the level claim.)
+/// Level-synchronous forward pass from `s`: BFS levels by par::push_step
+/// (parallel CAS claims into `dist`), then, after each committed level,
+/// sigma for the new level pulled from the parent level in CSR neighbor
+/// order — one writer per sigma[v], summing in a schedule-independent
+/// order.  (Sigma values are integer path counts, exact in doubles below
+/// 2^53, so they would agree with the push formulation regardless; the
+/// pull keeps the whole pass atomics-free past the level claim.)
 template <class Graph>
 void brandes_forward(const Graph& g, vertex_id_t s, brandes_scratch& ws, par::frontier& f0,
                      par::frontier& f1) {
@@ -107,22 +108,13 @@ void brandes_forward(const Graph& g, vertex_id_t s, brandes_scratch& ws, par::fr
   while (!cur->empty()) {
     NWOBS_COUNT("betweenness.levels", 1);
     NWOBS_COUNT("betweenness.frontier_total", cur->size());
-    const auto& ids = cur->ids();
     ++level;
-    par::parallel_for(0, ids.size(), [&](unsigned tid, std::size_t i) {
-      vertex_id_t u     = ids[i];
-      std::size_t local = 0;
-      for (auto&& e : g[u]) {
-        vertex_id_t v = nw::graph::target(e);
-        ++local;
-        if (atomic_load(ws.dist[v]) == null_vertex<> &&
-            compare_and_swap(ws.dist[v], null_vertex<>, level)) {
-          nxt->emit(tid, v);
-        }
-      }
-      NWOBS_COUNT("betweenness.edges_relaxed", local);
-    });
-    if (nxt->commit_sparse() == 0) break;
+    const auto st = par::push_step(
+        *cur, *nxt, nw::graph::csr_rows(g),
+        [&](vertex_id_t, vertex_id_t v) { return claim_unset(ws.dist[v], level); },
+        par::no_weight{}, null_vertex<>, par::never_stop{}, par::thread_pool::default_pool());
+    NWOBS_COUNT("betweenness.edges_relaxed", st.scanned);
+    if (st.added == 0) break;
     const auto& next_ids = nxt->ids();
     par::parallel_for(0, next_ids.size(), [&](std::size_t i) {
       vertex_id_t v   = next_ids[i];

@@ -100,31 +100,34 @@ public:
   }
 
   /// Listing 5 `s_distance(src, dest)`: hop distance in the s-line graph;
-  /// nullopt when unreachable.  Throws std::out_of_range on invalid ids
-  /// (mirroring the adjoin_bfs "hyperedge id" guard — BFS arrays would
-  /// otherwise be indexed out of bounds).
+  /// nullopt when unreachable.  The sweep ends at the level that reaches
+  /// `dest`.  Throws std::out_of_range on invalid ids (mirroring the
+  /// adjoin_bfs "hyperedge id" guard — BFS arrays would otherwise be
+  /// indexed out of bounds).
   [[nodiscard]] std::optional<std::size_t> s_distance(vertex_id_t src, vertex_id_t dest) const {
     check_vertex(src, "s_distance");
     check_vertex(dest, "s_distance");
-    auto dist = nw::graph::bfs_distances(graph_, src);
+    auto dist = nw::graph::bfs_distances(graph_, src, dest);
     if (dist[dest] == null_vertex<>) return std::nullopt;
     return static_cast<std::size_t>(dist[dest]);
   }
 
   /// Listing 5 `s_path(src, dest)`: one shortest s-walk between two
-  /// hyperedges (sequence of hyperedge ids); empty when unreachable.
+  /// hyperedges (sequence of hyperedge ids); empty when unreachable.  The
+  /// distances come from a sweep that ends at `dest`; the walk back takes
+  /// the smallest-id neighbour one level nearer, so the path is the same at
+  /// every thread count.
   [[nodiscard]] std::vector<vertex_id_t> s_path(vertex_id_t src, vertex_id_t dest) const {
     check_vertex(src, "s_path");
     check_vertex(dest, "s_path");
-    auto parents = nw::graph::bfs_top_down(graph_, src);
-    if (parents[dest] == null_vertex<>) return {};
-    std::vector<vertex_id_t> path{dest};
-    vertex_id_t              cur = dest;
-    while (cur != src) {
-      cur = parents[cur];
-      path.push_back(cur);
+    auto dist = nw::graph::bfs_distances(graph_, src, dest);
+    if (dist[dest] == null_vertex<>) return {};
+    std::vector<vertex_id_t> path(dist[dest] + 1);
+    path.back() = dest;
+    for (vertex_id_t d = dist[dest]; d > 0; --d) {
+      path[d - 1] = *std::ranges::find_if(graph_[path[d]],
+                                          [&](vertex_id_t u) { return dist[u] == d - 1; });
     }
-    std::reverse(path.begin(), path.end());
     return path;
   }
 

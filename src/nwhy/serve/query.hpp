@@ -23,9 +23,9 @@
 //     thread and touches no member state, so all workers can share it.
 //
 // Deadlines: the engines poll the request's deadline_token through their
-// stop hook — per frontier vertex in the s-line engines, per half-step in
-// hyper_bfs — and throw par::cancelled, which execute_query maps to
-// status::deadline_exceeded.
+// stop hook — per frontier vertex in the s-line engines and in hyper_bfs's
+// top-down half-steps, once per bottom-up half-step — and throw
+// par::cancelled, which execute_query maps to status::deadline_exceeded.
 #pragma once
 
 #include <algorithm>

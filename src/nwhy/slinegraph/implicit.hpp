@@ -19,14 +19,12 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <vector>
 
 #include "nwhy/slinegraph/construction.hpp"
 #include "nwpar/cancel.hpp"
 #include "nwpar/frontier.hpp"
-#include "nwpar/parallel_for.hpp"
 #include "nwutil/atomics.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/flat_hashmap.hpp"
@@ -64,44 +62,33 @@ struct s_bfs_scratch {
   par::frontier                       frontier, next;
 };
 
-/// The implicit s-BFS level loop, shared by every engine below.  Floods
-/// from `src`, which the caller has already claimed in `mark`.  Each level
-/// expands its frontier in parallel and claims undiscovered s-neighbors by
-/// CAS, writing `claim(level)` into `mark`: the level for distances, the
-/// seed for component labels.  When `target` is claimed, the remaining
-/// vertices of that frontier are skipped and the flood returns true
-/// (`null_vertex` = no target).  `stop` is polled once per frontier vertex;
-/// a fired poll ends the level early and throws par::cancelled here, on
-/// the calling thread.
-template <class EGraph, class NGraph, class Claim, class Stop>
+/// The implicit s-BFS level loop, shared by every engine below: one
+/// par::push_step per level whose rows are the s-neighbourhoods, counted
+/// on the per-thread overlap maps.  Floods from `src`, which the caller
+/// has already claimed in `mark`; each level claims undiscovered
+/// s-neighbours by CAS, writing `value_of(level)` into `mark`: the level
+/// for distances, the seed for component labels.  When `target` is
+/// claimed, the remaining vertices of that frontier are skipped and the
+/// flood returns true (`null_vertex` = no target).  `stop` is polled once
+/// per frontier vertex; a fired poll ends the level early and throws
+/// par::cancelled here, on the calling thread.
+template <class EGraph, class NGraph, class ValueOf, class Stop>
 bool s_bfs_flood(const EGraph& edges, const NGraph& nodes,
                  const std::vector<std::size_t>& edge_degrees, std::size_t s, vertex_id_t src,
-                 std::vector<vertex_id_t>& mark, Claim claim, vertex_id_t target,
+                 std::vector<vertex_id_t>& mark, ValueOf value_of, vertex_id_t target,
                  s_bfs_scratch& ws, Stop& stop) {
+  const auto rows = [&](unsigned tid, vertex_id_t u, auto&& visit) {
+    for_each_s_neighbor(edges, nodes, edge_degrees, s, u, ws.maps.local(tid), visit);
+  };
   ws.frontier.assign_single(src);
   vertex_id_t level = 0;
   while (!ws.frontier.empty()) {
-    const vertex_id_t     value = claim(++level);
-    std::atomic<bool>     found{false};
-    par::stop_latch<Stop> halt(stop);
-    const auto&           ids = ws.frontier.ids();
-    par::parallel_for(
-        0, ids.size(),
-        [&](unsigned tid, std::size_t i) {
-          if (found.load(std::memory_order_relaxed) || halt.poll()) return;
-          for_each_s_neighbor(edges, nodes, edge_degrees, s, ids[i], ws.maps.local(tid),
-                              [&](vertex_id_t ej) {
-                                if (atomic_load(mark[ej]) == null_vertex<> &&
-                                    compare_and_swap(mark[ej], null_vertex<>, value)) {
-                                  if (ej == target) found.store(true, std::memory_order_relaxed);
-                                  ws.next.emit(tid, ej);
-                                }
-                              });
-        },
-        par::blocked{}, ws.pool);
-    halt.throw_if_fired();
-    ws.next.commit_sparse();
-    if (found.load()) return true;
+    const vertex_id_t value = value_of(++level);
+    const auto        st    = par::push_step(
+        ws.frontier, ws.next, rows,
+        [&](vertex_id_t, vertex_id_t v) { return claim_unset(mark[v], value); },
+        par::no_weight{}, target, stop, ws.pool);
+    if (st.hit) return true;
     ws.frontier.swap(ws.next);
   }
   return false;

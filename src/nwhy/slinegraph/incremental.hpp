@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "nwgraph/algorithms/bfs.hpp"
 #include "nwhy/nwhypergraph.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/flat_hashmap.hpp"
@@ -184,28 +185,14 @@ public:
     return out;
   }
 
-  /// Hop distance in the line graph; nullopt when unreachable or either
-  /// endpoint is inactive (the s_distance_implicit convention).
+  /// Hop distance in the line graph, by nw::graph::bfs_distances up to
+  /// `dst`'s level; nullopt when unreachable or either endpoint is inactive
+  /// (the s_distance_implicit convention).
   [[nodiscard]] std::optional<std::size_t> s_distance(vertex_id_t src, vertex_id_t dst) const {
     if (!active(src) || !active(dst)) return std::nullopt;
-    if (src == dst) return 0;
-    std::vector<vertex_id_t> dist(adj_.size(), null_vertex<>);
-    std::vector<vertex_id_t> frontier{src}, next;
-    dist[src] = 0;
-    while (!frontier.empty()) {
-      next.clear();
-      for (vertex_id_t u : frontier) {
-        for (vertex_id_t v : adj_[u]) {
-          if (dist[v] == null_vertex<>) {
-            dist[v] = dist[u] + 1;
-            if (v == dst) return dist[v];
-            next.push_back(v);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
-    return std::nullopt;
+    auto dist = nw::graph::bfs_distances(adj_, src, dst);
+    if (dist[dst] == null_vertex<>) return std::nullopt;
+    return static_cast<std::size_t>(dist[dst]);
   }
 
 private:

@@ -26,15 +26,18 @@
 // per-thread emission buffers, and the per-word scratch all retain their
 // allocations across levels (and across BFS runs when the frontier object
 // is reused), so a traversal allocates only while growing to its high-water
-// mark.
+// mark.  push_step / pull_step, at the end, advance a traversal one level.
 #pragma once
 
+#include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <type_traits>
 #include <vector>
 
 #include "nwobs/counters.hpp"
 #include "nwobs/scope_timer.hpp"
+#include "nwpar/cancel.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/bitmap.hpp"
 #include "nwutil/defs.hpp"
@@ -222,11 +225,9 @@ public:
 
   // --- per-thread sparse emission (top-down steps) ---------------------------
 
-  /// Emit `v` into this frontier from worker `tid`.
-  void emit(unsigned tid, vertex_id_t v) { emit_.local(tid).push_back(v); }
-
-  /// Emit `v` and fuse its out-degree into the scout accumulator — the
-  /// GAPBS trick that replaces the separate per-level degree pass.
+  /// Emit `v` into this frontier from worker `tid` and fuse its out-degree
+  /// into the scout accumulator — the GAPBS trick that replaces the
+  /// separate per-level degree pass.
   void emit(unsigned tid, vertex_id_t v, std::size_t degree) {
     emit_.local(tid).push_back(v);
     scout_.local(tid) += degree;
@@ -251,15 +252,10 @@ public:
     added_.for_each([](std::size_t& a) { a = 0; });
   }
 
-  /// Set bit `v` (atomic) and count it toward this frontier's size.  Only a
-  /// 0->1 flip counts, so emitting the same vertex twice in one dense step
-  /// cannot inflate the committed size.
-  void emit_dense(unsigned tid, vertex_id_t v) {
-    if (bits_.set_atomic(v)) ++added_.local(tid);
-  }
-
-  /// Dense emission with the fused scout count (degree also only counted on
-  /// a 0->1 flip, matching the size accounting).
+  /// Set bit `v` (atomic), counting it toward this frontier's size and its
+  /// degree toward the scout accumulator.  Only a 0->1 flip counts, so
+  /// emitting the same vertex twice in one dense step cannot inflate the
+  /// committed size or the scout count.
   void emit_dense(unsigned tid, vertex_id_t v, std::size_t degree) {
     if (bits_.set_atomic(v)) {
       ++added_.local(tid);
@@ -329,5 +325,103 @@ private:
   per_thread<std::size_t>              scout_;  // fused degree-sum slots
   per_thread<std::size_t>              added_;  // dense emission counters
 };
+
+// --- the level step ---------------------------------------------------------
+//
+// One level of a level-synchronous traversal; every BFS-shaped engine is a
+// loop of these steps that records its own named counters from the stats
+// (nwobs caches one counter per call site).  The engine supplies:
+//
+//   rows(tid, u, visit)  visit(v) for each neighbour v of u, in row order,
+//                        until visit returns false (push never stops a row,
+//                        so a push-only generator may ignore the return);
+//                        `tid` indexes per-thread scratch
+//   claim(u, v)          the CAS on parent, level or label (true = v joins
+//                        `next`); pull's settle(u, v) writes without a CAS
+//   weight(v)            v's scout weight: its degree in the rows it
+//                        expands through next
+
+/// What one level step reports back to its engine.
+struct step_stats {
+  std::size_t added   = 0;      ///< vertices claimed into the next frontier
+  std::size_t scanned = 0;      ///< row entries examined
+  std::size_t scout   = 0;      ///< weight sum of the next frontier
+  bool        hit     = false;  ///< push: the target was claimed
+};
+
+/// Scout weight of an engine without a direction switch.
+struct no_weight {
+  constexpr std::size_t operator()(vertex_id_t) const noexcept { return 0; }
+};
+
+/// Push (top-down) step: the members of the sparse `front` expand their
+/// rows in parallel and emit what they claim into `next` (sparse).  When
+/// `target` (null_vertex = none) is claimed, the frontier vertices not yet
+/// started are skipped and the step reports `hit`.  `stop` is polled once
+/// per frontier vertex; a fired poll skips the rest of the frontier and
+/// throws par::cancelled here, on the calling thread.
+template <class Rows, class Claim, class Weight, class Stop>
+step_stats push_step(frontier& front, frontier& next, const Rows& rows, const Claim& claim,
+                     const Weight& weight, vertex_id_t target, Stop&& stop, thread_pool& pool) {
+  const auto&                               ids = front.ids();
+  per_thread<std::size_t>                   scanned(pool);
+  std::atomic<bool>                         hit{false};
+  stop_latch<std::remove_reference_t<Stop>> halt(stop);
+  parallel_for(
+      0, ids.size(),
+      [&](unsigned tid, std::size_t i) {
+        if (hit.load(std::memory_order_relaxed) || halt.poll()) return;
+        const vertex_id_t u     = ids[i];
+        std::size_t       local = 0;
+        rows(tid, u, [&](vertex_id_t v) {
+          ++local;
+          if (claim(u, v)) {
+            if (v == target) hit.store(true, std::memory_order_relaxed);
+            next.emit(tid, v, weight(v));
+          }
+          return true;
+        });
+        scanned.local(tid) += local;
+      },
+      blocked{}, pool);
+  halt.throw_if_fired();
+  std::size_t total = 0;
+  scanned.for_each([&](std::size_t& s) { total += s; });
+  return {next.commit_sparse(), total, next.take_scout(), hit.load()};
+}
+
+/// Pull (bottom-up) step: every vertex v of `next`'s universe for which
+/// `unvisited(v)` holds scans its row for a member u of `front`'s bitmap;
+/// the first one it meets settles v (settle(u, v): a plain write, since v
+/// has no other writer) into `next`'s bitmap.  `stop` is polled once, on
+/// the calling thread, before the sweep.
+template <class Rows, class Unvisited, class Settle, class Weight, class Stop>
+step_stats pull_step(frontier& front, frontier& next, const Rows& rows,
+                     const Unvisited& unvisited, const Settle& settle, const Weight& weight,
+                     Stop&& stop, thread_pool& pool) {
+  if (stop()) throw cancelled{};
+  const nw::bitmap& fb = front.bits();
+  next.begin_dense();
+  per_thread<std::size_t> scanned(pool);
+  parallel_for(
+      0, next.universe_size(),
+      [&](unsigned tid, std::size_t i) {
+        const auto v = static_cast<vertex_id_t>(i);
+        if (!unvisited(v)) return;
+        std::size_t local = 0;
+        rows(tid, v, [&](vertex_id_t u) {
+          ++local;
+          if (!fb.get(u)) return true;
+          settle(u, v);
+          next.emit_dense(tid, v, weight(v));
+          return false;
+        });
+        scanned.local(tid) += local;
+      },
+      blocked{}, pool);
+  std::size_t total = 0;
+  scanned.for_each([&](std::size_t& s) { total += s; });
+  return {next.commit_dense(), total, next.take_scout(), false};
+}
 
 }  // namespace nw::par

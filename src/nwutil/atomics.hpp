@@ -11,6 +11,8 @@
 
 #include <atomic>
 
+#include "nwutil/defs.hpp"
+
 namespace nw {
 
 /// Atomically set `*loc = min(*loc, value)`.  Returns true if the stored
@@ -67,6 +69,13 @@ template <class T>
 void atomic_store(T& loc, T value) {
   std::atomic_ref<T> ref(loc);
   ref.store(value, std::memory_order_relaxed);
+}
+
+/// Claim a still-unset (null_vertex) slot by CAS to `value`; the claim of
+/// every level-synchronous traversal (parent, level or label arrays).  The
+/// relaxed load first skips the CAS on slots already taken.
+inline bool claim_unset(vertex_id_t& loc, vertex_id_t value) {
+  return atomic_load(loc) == null_vertex<> && compare_and_swap(loc, null_vertex<>, value);
 }
 
 }  // namespace nw

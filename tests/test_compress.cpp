@@ -391,8 +391,8 @@ TEST(CompressedSnapshot, MmapPathStreamsAndMaterializes) {
   {  // stream mode: traverse the views backed by the mapped bytes
     auto snap = load_csr_snapshot(f.path, /*verify_checksums=*/true, snapshot_decode::stream);
     ASSERT_TRUE(snap.streaming());
-    auto on_view = hyper_bfs_top_down(*snap.edges_view, *snap.nodes_view, 0);
-    auto on_raw  = hyper_bfs_top_down(hg.hyperedges(), hg.hypernodes(), 0);
+    auto on_view = hyper_bfs(*snap.edges_view, *snap.nodes_view, 0, nwtest::top_down_alpha);
+    auto on_raw  = hyper_bfs(hg.hyperedges(), hg.hypernodes(), 0, nwtest::top_down_alpha);
     EXPECT_EQ(on_view.dist_edge, on_raw.dist_edge);
     EXPECT_EQ(on_view.dist_node, on_raw.dist_node);
   }
@@ -455,11 +455,11 @@ TEST(CompressedDifferential, TraversalFamiliesMatchUncompressed) {
 
       for (vertex_id_t src : sources_for(hg.num_hyperedges())) {
         SCOPED_TRACE("src=" + std::to_string(src));
-        auto oracle = hyper_bfs_top_down(E, N, src);
-        auto td     = hyper_bfs_top_down(Ec, Nc, src);
+        auto oracle = hyper_bfs(E, N, src, nwtest::top_down_alpha);
+        auto td     = hyper_bfs(Ec, Nc, src, nwtest::top_down_alpha);
         EXPECT_EQ(td.dist_edge, oracle.dist_edge) << "top_down on compressed";
         EXPECT_EQ(td.dist_node, oracle.dist_node) << "top_down on compressed";
-        auto bu = hyper_bfs_bottom_up(Ec, Nc, src);
+        auto bu = hyper_bfs(Ec, Nc, src, nwtest::bottom_up_alpha, nwtest::bottom_up_beta);
         EXPECT_EQ(bu.dist_edge, oracle.dist_edge) << "bottom_up on compressed";
         EXPECT_EQ(bu.dist_node, oracle.dist_node) << "bottom_up on compressed";
         auto dir = hyper_bfs(Ec, Nc, src);

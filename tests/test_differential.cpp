@@ -104,13 +104,14 @@ TEST(Differential, BfsDistancesMatchSerialOracle) {
         SCOPED_TRACE("src=" + std::to_string(src));
         auto oracle = ref::bfs_levels(inc, src);
 
-        auto td = hyper_bfs_top_down(hg.hyperedges(), hg.hypernodes(), src);
-        EXPECT_EQ(td.dist_edge, oracle.dist_edge) << "hyper_bfs_top_down";
-        EXPECT_EQ(td.dist_node, oracle.dist_node) << "hyper_bfs_top_down";
+        auto td = hyper_bfs(hg.hyperedges(), hg.hypernodes(), src, nwtest::top_down_alpha);
+        EXPECT_EQ(td.dist_edge, oracle.dist_edge) << "hyper_bfs (forced top-down)";
+        EXPECT_EQ(td.dist_node, oracle.dist_node) << "hyper_bfs (forced top-down)";
 
-        auto bu = hyper_bfs_bottom_up(hg.hyperedges(), hg.hypernodes(), src);
-        EXPECT_EQ(bu.dist_edge, oracle.dist_edge) << "hyper_bfs_bottom_up";
-        EXPECT_EQ(bu.dist_node, oracle.dist_node) << "hyper_bfs_bottom_up";
+        auto bu = hyper_bfs(hg.hyperedges(), hg.hypernodes(), src, nwtest::bottom_up_alpha,
+                            nwtest::bottom_up_beta);
+        EXPECT_EQ(bu.dist_edge, oracle.dist_edge) << "hyper_bfs (forced bottom-up)";
+        EXPECT_EQ(bu.dist_node, oracle.dist_node) << "hyper_bfs (forced bottom-up)";
 
         auto dir = hyper_bfs(hg.hyperedges(), hg.hypernodes(), src);
         EXPECT_EQ(dir.dist_edge, oracle.dist_edge) << "hyper_bfs (direction-optimizing)";

@@ -466,6 +466,43 @@ TEST(Dynamic, IncrementalSlinegraphMatchesOracleUnderMutation) {
   }
 }
 
+TEST(Dynamic, IncrementalSDistanceMatchesOracleAcrossThreads) {
+  // The maintained line graph's s_distance runs the parallel level step;
+  // every pair agrees with the serial oracle at every thread count.
+  nwtest::concurrency_guard guard;
+  for (unsigned threads : nwtest::differential_thread_counts()) {
+    nw::par::thread_pool::set_default_concurrency(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (auto seed : nwtest::differential_seeds(0xD15C'2500)) {
+      NWHY_SEED_TRACE(seed);
+      NWHypergraph base(gen::arbitrary_hypergraph(seed));
+      truth_state  truth = truth_of(base);
+      for (std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE("s=" + std::to_string(s));
+        incremental_slinegraph inc(base, s);
+        truth_state            t = truth;
+        nw::xoshiro256ss       rng(seed + s);
+        for (const auto& m : mutation_stream(rng, t, 4)) {
+          if (m.op == mutation::kind::remove) {
+            inc.remove_edge(m.edge);
+          } else {
+            inc.update_edge(m.edge, m.members);
+          }
+          apply_to_truth(t, m);
+        }
+        auto              h = t.to_incidence();
+        const std::size_t n = std::min<std::size_t>(h.num_edges(), 16);
+        for (vertex_id_t src = 0; src < n; ++src) {
+          for (vertex_id_t dst = 0; dst < n; ++dst) {
+            ASSERT_EQ(inc.s_distance(src, dst), ref::s_distance(h, s, src, dst))
+                << "src=" << src << " dst=" << dst;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Dynamic, IncrementalToplexesMatchOracleUnderMutation) {
   for (auto seed : nwtest::differential_seeds(0xD15C'3000)) {
     NWHY_SEED_TRACE(seed);

@@ -1,13 +1,15 @@
 // tests/test_frontier.cpp — the par::frontier engine: bitmap word access,
 // parallel clear/count/conversion primitives, the hybrid frontier's
 // sparse<->dense life cycle and fused scout channel, and agreement of every
-// BFS engine that sits on top of it (graph top-down / bottom-up /
-// direction-optimizing / distances, HyperBFS, Hygra) with serial references.
+// BFS engine that sits on top of it (graph direction-optimizing, forced
+// top-down and bottom-up, distances, HyperBFS, Hygra) with serial
+// references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "hygra/algorithms.hpp"
@@ -192,10 +194,10 @@ TEST(Frontier, DenseEmitCommitRoundTrip) {
 TEST(Frontier, DenseEmitDuplicatesDoNotInflateSize) {
   nw::par::frontier f(128);
   f.begin_dense();
-  // Every worker emits the same two vertices (both plain and fused-scout
-  // forms): only the 0->1 flips may count toward size and scout.
+  // Every worker emits the same two vertices (zero and non-zero scout
+  // weight): only the 0->1 flips may count toward size and scout.
   nw::par::parallel_for(0, 64, [&](unsigned tid, std::size_t) {
-    f.emit_dense(tid, 7);
+    f.emit_dense(tid, 7, /*degree=*/0);
     f.emit_dense(tid, 9, /*degree=*/3);
   });
   EXPECT_EQ(f.commit_dense(), 2u);
@@ -231,19 +233,103 @@ TEST(Frontier, EnvKnobParsing) {
   EXPECT_GT(nw::par::bfs_beta(), 0u);
 }
 
+// --- the level step -----------------------------------------------------------
+
+TEST(LevelStep, PushAndPullClaimTheSameLevel) {
+  nw::par::thread_pool pool(1);
+  adjacency<>          g(random_graph(300, 900, 5));
+  const auto           ref = reference_bfs_distances(g, 0);
+  std::vector<vertex_id_t> level1, level2;
+  std::size_t              level1_degrees = 0, level2_degrees = 0;
+  for (std::size_t v = 0; v < ref.size(); ++v) {
+    if (ref[v] == 1) {
+      level1.push_back(static_cast<vertex_id_t>(v));
+      level1_degrees += g.degree(v);
+    } else if (ref[v] == 2) {
+      level2.push_back(static_cast<vertex_id_t>(v));
+      level2_degrees += g.degree(v);
+    }
+  }
+  ASSERT_FALSE(level2.empty());
+
+  // Expand level 1 by one step; returns the claimed ids, sorted.
+  auto step = [&](bool pull, vertex_id_t target, nw::par::step_stats& st) {
+    std::vector<vertex_id_t> dist(ref.size(), nw::null_vertex<>);
+    for (std::size_t v = 0; v < ref.size(); ++v) {
+      if (ref[v] <= 1) dist[v] = ref[v];
+    }
+    nw::par::frontier front(g.size(), pool), next(g.size(), pool);
+    front.assign(level1);
+    const auto claim  = [&](vertex_id_t, vertex_id_t v) { return nw::claim_unset(dist[v], 2); };
+    const auto degree = [&](vertex_id_t v) { return g.degree(v); };
+    st = pull ? nw::par::pull_step(
+                    front, next, csr_rows(g),
+                    [&](vertex_id_t v) { return dist[v] == nw::null_vertex<>; },
+                    [&](vertex_id_t, vertex_id_t v) { dist[v] = 2; }, degree,
+                    nw::par::never_stop{}, pool)
+              : nw::par::push_step(front, next, csr_rows(g), claim, degree, target,
+                                   nw::par::never_stop{}, pool);
+    auto ids = next.ids();
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+
+  nw::par::step_stats push, pull, hit;
+  EXPECT_EQ(step(false, nw::null_vertex<>, push), level2);
+  EXPECT_EQ(push.added, level2.size());
+  EXPECT_EQ(push.scout, level2_degrees);
+  EXPECT_EQ(push.scanned, level1_degrees);  // every frontier row, in full
+  EXPECT_FALSE(push.hit);
+  EXPECT_EQ(step(true, nw::null_vertex<>, pull), level2);
+  EXPECT_EQ(pull.added, level2.size());
+  EXPECT_EQ(pull.scout, level2_degrees);
+  EXPECT_FALSE(pull.hit);
+  // A target on level 2 is reported, and the rows after its claimer go
+  // unread.
+  auto with_target = step(false, level2.front(), hit);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_TRUE(std::binary_search(with_target.begin(), with_target.end(), level2.front()));
+  EXPECT_LE(hit.scanned, push.scanned);
+
+  // A hook that fires throws from the calling thread, in both directions.
+  nw::par::frontier front(g.size(), pool), next(g.size(), pool);
+  front.assign(level1);
+  std::vector<vertex_id_t> dist(ref.size(), nw::null_vertex<>);
+  const auto claim = [&](vertex_id_t, vertex_id_t v) { return nw::claim_unset(dist[v], 2); };
+  const auto fire  = [] { return true; };
+  EXPECT_THROW((void)nw::par::push_step(front, next, csr_rows(g), claim, nw::par::no_weight{},
+                                        nw::null_vertex<>, fire, pool),
+               nw::par::cancelled);
+  EXPECT_THROW((void)nw::par::pull_step(
+                   front, next, csr_rows(g), [](vertex_id_t) { return true; },
+                   [](vertex_id_t, vertex_id_t) {}, nw::par::no_weight{}, fire, pool),
+               nw::par::cancelled);
+}
+
 // --- BFS engine agreement ----------------------------------------------------
 
 TEST(FrontierBfs, AllGraphVariantsAgreeWithReference) {
+  using nw::obs::registry;
+  using nwtest::direction_steps;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     adjacency<> g(random_graph(150, 400, seed));
     for (vertex_id_t src : {0u, 17u, 149u}) {
       auto ref = reference_bfs_distances(g, src);
-      expect_valid_parents(g, src, bfs_top_down(g, src));
-      expect_valid_parents(g, src, bfs_bottom_up(g, src));
       expect_valid_parents(g, src, bfs_direction_optimizing(g, src));
-      // Forced extremes: always-bottom-up and always-top-down.
-      expect_valid_parents(g, src, bfs_direction_optimizing(g, src, 100000, 1));
-      expect_valid_parents(g, src, bfs_direction_optimizing(g, src, 1, 1000000));
+      // Forced extremes: always-top-down and always-bottom-up, with the
+      // direction read back from the step counters.
+      registry::get().reset();
+      expect_valid_parents(g, src, bfs_direction_optimizing(g, src, nwtest::top_down_alpha));
+      auto [td, bu] = direction_steps("graph_bfs");
+      EXPECT_GT(td, 0u);
+      EXPECT_EQ(bu, 0u);
+      registry::get().reset();
+      expect_valid_parents(
+          g, src,
+          bfs_direction_optimizing(g, src, nwtest::bottom_up_alpha, nwtest::bottom_up_beta));
+      std::tie(td, bu) = direction_steps("graph_bfs");
+      EXPECT_EQ(td, 0u);
+      EXPECT_GT(bu, 0u);
       EXPECT_EQ(bfs_distances(g, src), ref);
     }
   }
@@ -260,7 +346,9 @@ TEST(FrontierBfs, DisconnectedGraphLeavesNulls) {
       if (u != v) el.push_back(u, v);
   el.sort_and_unique();
   adjacency<> g(el);
-  for (auto parents : {bfs_top_down(g, 0), bfs_bottom_up(g, 0),
+  for (auto parents : {bfs_direction_optimizing(g, 0, nwtest::top_down_alpha),
+                       bfs_direction_optimizing(g, 0, nwtest::bottom_up_alpha,
+                                                nwtest::bottom_up_beta),
                        bfs_direction_optimizing(g, 0)}) {
     for (vertex_id_t v = 0; v < 5; ++v) EXPECT_NE(parents[v], nw::null_vertex<>);
     for (vertex_id_t v = 5; v < 10; ++v) EXPECT_EQ(parents[v], nw::null_vertex<>);
@@ -269,25 +357,29 @@ TEST(FrontierBfs, DisconnectedGraphLeavesNulls) {
 
 TEST(FrontierBfs, HyperBfsAlphaBetaExtremesAgree) {
   using namespace nw::hypergraph;
+  using nw::obs::registry;
+  using nwtest::direction_steps;
   auto el = gen::uniform_random_hypergraph(120, 150, 4, 99);
   el.sort_and_unique();
   biadjacency<0> hyperedges(el);
   biadjacency<1> hypernodes(el);
   auto           def = hyper_bfs(hyperedges, hypernodes, 0);
-  // Force always-bottom-up and always-top-down; distances must agree.
-  auto bu = hyper_bfs(hyperedges, hypernodes, 0, 1, 1000000);
-  auto td = hyper_bfs(hyperedges, hypernodes, 0, 100000, 1);
+  // Force always-bottom-up and always-top-down; distances must agree, and
+  // the step counters show each run kept to its direction.
+  registry::get().reset();
+  auto bu = hyper_bfs(hyperedges, hypernodes, 0, nwtest::bottom_up_alpha, nwtest::bottom_up_beta);
+  auto [bu_td, bu_bu] = direction_steps("hyper_bfs");
+  EXPECT_EQ(bu_td, 0u);
+  EXPECT_GT(bu_bu, 0u);
+  registry::get().reset();
+  auto td = hyper_bfs(hyperedges, hypernodes, 0, nwtest::top_down_alpha);
+  auto [td_td, td_bu] = direction_steps("hyper_bfs");
+  EXPECT_GT(td_td, 0u);
+  EXPECT_EQ(td_bu, 0u);
   EXPECT_EQ(def.dist_edge, bu.dist_edge);
   EXPECT_EQ(def.dist_node, bu.dist_node);
   EXPECT_EQ(def.dist_edge, td.dist_edge);
   EXPECT_EQ(def.dist_node, td.dist_node);
-  // And with the pure engines.
-  auto pure_td = hyper_bfs_top_down(hyperedges, hypernodes, 0);
-  auto pure_bu = hyper_bfs_bottom_up(hyperedges, hypernodes, 0);
-  EXPECT_EQ(def.dist_edge, pure_td.dist_edge);
-  EXPECT_EQ(def.dist_node, pure_td.dist_node);
-  EXPECT_EQ(def.dist_edge, pure_bu.dist_edge);
-  EXPECT_EQ(def.dist_node, pure_bu.dist_node);
 }
 
 TEST(FrontierBfs, HygraAgreesWithHyperBfsReachability) {

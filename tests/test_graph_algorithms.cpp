@@ -77,13 +77,18 @@ class BfsParam : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BfsParam, TopDownParentsValid) {
   auto        el = random_graph(200, 500, GetParam());
   adjacency<> g(el);
-  check_parents_valid(g, 0, bfs_top_down(g, 0));
+  nw::obs::registry::get().reset();
+  check_parents_valid(g, 0, bfs_direction_optimizing(g, 0, nwtest::top_down_alpha));
+  EXPECT_EQ(nwtest::direction_steps("graph_bfs").second, 0u);
 }
 
 TEST_P(BfsParam, BottomUpParentsValid) {
   auto        el = random_graph(200, 500, GetParam());
   adjacency<> g(el);
-  check_parents_valid(g, 0, bfs_bottom_up(g, 0));
+  nw::obs::registry::get().reset();
+  check_parents_valid(
+      g, 0, bfs_direction_optimizing(g, 0, nwtest::bottom_up_alpha, nwtest::bottom_up_beta));
+  EXPECT_EQ(nwtest::direction_steps("graph_bfs").first, 0u);
 }
 
 TEST_P(BfsParam, DirectionOptimizingParentsValid) {
@@ -111,7 +116,7 @@ TEST(Bfs, DisconnectedStaysUnreached) {
   el.push_back(0, 1);
   el.push_back(1, 0);
   adjacency<> g(el);
-  auto        parents = bfs_top_down(g, 0);
+  auto        parents = bfs_direction_optimizing(g, 0, nwtest::top_down_alpha);
   EXPECT_EQ(parents[2], nw::null_vertex<>);
   EXPECT_EQ(parents[3], nw::null_vertex<>);
 }
@@ -124,10 +129,14 @@ TEST(Bfs, SingleVertexGraph) {
 }
 
 TEST(Bfs, StarForcesBottomUpSwitch) {
-  // Star with a huge frontier after one hop; exercises the heuristic switch.
-  auto g       = star_graph(5000);
-  auto parents = bfs_direction_optimizing(g, 0, /*alpha=*/1, /*beta=*/100000);
+  // Star: the centre's scout count is half the graph's edges, so the
+  // 15/18 heuristic switches to bottom-up once, and stays there.
+  auto g = star_graph(5000);
+  nw::obs::registry::get().reset();
+  auto parents = bfs_direction_optimizing(g, 0, /*alpha=*/15, /*beta=*/18);
   for (std::size_t v = 1; v < g.size(); ++v) EXPECT_EQ(parents[v], 0u);
+  EXPECT_GT(nwtest::direction_steps("graph_bfs").second, 0u);
+  EXPECT_EQ(nw::obs::registry::get().counters_snapshot().at("graph_bfs.direction_switches"), 1u);
 }
 
 // --- connected components ---------------------------------------------------

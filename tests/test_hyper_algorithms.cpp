@@ -60,18 +60,23 @@ class HyperBfsParam : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HyperBfsParam, TopDownMatchesAdjoinReference) {
   hypergraph_fixture h(medium_random_hypergraph(GetParam()));
-  auto               r = hyper_bfs_top_down(h.hyperedges, h.hypernodes, 0);
-  auto [de, dn]        = reference_hyper_distances(h, 0);
+  nw::obs::registry::get().reset();
+  auto r        = hyper_bfs(h.hyperedges, h.hypernodes, 0, nwtest::top_down_alpha);
+  auto [de, dn] = reference_hyper_distances(h, 0);
   EXPECT_EQ(r.dist_edge, de);
   EXPECT_EQ(r.dist_node, dn);
+  EXPECT_EQ(nwtest::direction_steps("hyper_bfs").second, 0u);
 }
 
 TEST_P(HyperBfsParam, BottomUpMatchesAdjoinReference) {
   hypergraph_fixture h(medium_random_hypergraph(GetParam()));
-  auto               r = hyper_bfs_bottom_up(h.hyperedges, h.hypernodes, 0);
-  auto [de, dn]        = reference_hyper_distances(h, 0);
+  nw::obs::registry::get().reset();
+  auto r = hyper_bfs(h.hyperedges, h.hypernodes, 0, nwtest::bottom_up_alpha,
+                     nwtest::bottom_up_beta);
+  auto [de, dn] = reference_hyper_distances(h, 0);
   EXPECT_EQ(r.dist_edge, de);
   EXPECT_EQ(r.dist_node, dn);
+  EXPECT_EQ(nwtest::direction_steps("hyper_bfs").first, 0u);
 }
 
 TEST_P(HyperBfsParam, DirectionOptimizingMatchesAdjoinReference) {
@@ -220,7 +225,7 @@ class HygraParam : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(HygraParam, BfsReachesSameSetAsHyperBfs) {
   hypergraph_fixture h(sparse_random_hypergraph(GetParam() + 400));
   auto               a = nw::hygra::hygra_bfs(h.hyperedges, h.hypernodes, 0);
-  auto               b = hyper_bfs_top_down(h.hyperedges, h.hypernodes, 0);
+  auto               b = hyper_bfs(h.hyperedges, h.hypernodes, 0, nwtest::top_down_alpha);
   for (std::size_t e = 0; e < a.parents_edge.size(); ++e) {
     EXPECT_EQ(a.parents_edge[e] == nw::null_vertex<>, b.parents_edge[e] == nw::null_vertex<>);
   }

@@ -14,6 +14,8 @@
 #include <thread>
 
 #include "nwhy.hpp"
+#include "nwhy/ref/ref.hpp"
+#include "prop_harness.hpp"
 #include "test_util.hpp"
 
 using namespace nw::hypergraph;
@@ -352,8 +354,11 @@ TEST_F(NwobsTest, BetweennessEmitsBatchAndDependencyCounters) {
 
 TEST_F(NwobsTest, SDistanceCountsGraphBfsRowsOncePerFrontierVertex) {
   // Hyperedge i = {i, i+1}: at s = 1 the line graph is the path
-  // e0-e1-...-e5, whose CSR holds 2 * 5 = 10 directed entries.  A BFS sweep
-  // from any source reaches every vertex and reads each row exactly once.
+  // e0-e1-...-e5, whose CSR holds 2 * 5 = 10 directed entries.  A full
+  // sweep from any source reaches every vertex and reads each row exactly
+  // once.  s_distance ends its sweep at the level that claims the target:
+  // that level's frontier is the last one expanded, so the target's own
+  // row and everything past it stay unread.
   biedgelist<> el;
   for (vertex_id_t e = 0; e < 6; ++e) {
     el.push_back(e, e);
@@ -362,15 +367,65 @@ TEST_F(NwobsTest, SDistanceCountsGraphBfsRowsOncePerFrontierVertex) {
   auto lg = NWHypergraph(std::move(el)).make_s_linegraph(1);
   ASSERT_EQ(lg.num_edges(), 5u);
   registry::get().reset();  // drop the construction counters
-  EXPECT_EQ(lg.s_distance(0, 5), std::optional<std::size_t>{5});
+  (void)nw::graph::bfs_distances(lg.graph(), 2);
   auto counters = registry::get().counters_snapshot();
   EXPECT_EQ(counters.at("graph_bfs.edges_relaxed"), 10u);
-  EXPECT_EQ(counters.at("graph_bfs.levels"), 6u);  // {0}, {1}, ..., {5}
+  EXPECT_EQ(counters.at("graph_bfs.levels"), 4u);  // {2}, {1, 3}, {0, 4}, {5}
+  registry::get().reset();
+  EXPECT_EQ(lg.s_distance(0, 5), std::optional<std::size_t>{5});
+  counters = registry::get().counters_snapshot();
+  EXPECT_EQ(counters.at("graph_bfs.edges_relaxed"), 9u);  // rows of e0..e4
+  EXPECT_EQ(counters.at("graph_bfs.levels"), 5u);          // {0}, ..., {4}
+  // One worker, so the frontier {0, 4} is expanded in id order: e0's row
+  // is read before e4's claims the target.
+  nwtest::concurrency_guard guard;
+  nw::par::thread_pool::set_default_concurrency(1);
   registry::get().reset();
   EXPECT_EQ(lg.s_distance(2, 5), std::optional<std::size_t>{3});
   counters = registry::get().counters_snapshot();
-  EXPECT_EQ(counters.at("graph_bfs.edges_relaxed"), 10u);
-  EXPECT_EQ(counters.at("graph_bfs.levels"), 4u);  // {2}, {1, 3}, {0, 4}, {5}
+  EXPECT_EQ(counters.at("graph_bfs.edges_relaxed"), 9u);  // 2 + (2 + 2) + (1 + 2)
+  EXPECT_EQ(counters.at("graph_bfs.levels"), 3u);          // {2}, {1, 3}, {0, 4}
+}
+
+TEST_F(NwobsTest, SDistanceToANeighbourReadsFarLessThanASweep) {
+  // A large connected s = 1 line graph: a point query to a neighbour of
+  // the source expands one frontier, {src}, instead of the whole graph, and
+  // still agrees with the serial oracle — as does s_path, for a near and a
+  // far target.
+  NWHypergraph hg(gen::uniform_random_hypergraph(3000, 2500, 6, 0x5D15));
+  auto         lg  = hg.make_s_linegraph(1);
+  auto         inc = ref::from_biedgelist(hg.edge_list());
+  const vertex_id_t src = 0;
+  const auto        nbrs = lg.s_neighbors(src);
+  ASSERT_FALSE(nbrs.empty());
+  const vertex_id_t near = nbrs.back();
+  registry::get().reset();
+  const auto sweep = nw::graph::bfs_distances(lg.graph(), src);
+  const auto full  = registry::get().counters_snapshot().at("graph_bfs.edges_relaxed");
+  vertex_id_t far = src;
+  for (std::size_t v = 0; v < sweep.size(); ++v) {
+    if (sweep[v] != nw::null_vertex<> && sweep[v] > sweep[far]) far = static_cast<vertex_id_t>(v);
+  }
+  ASSERT_GE(sweep[far], 2u);
+  for (vertex_id_t dst : {near, far}) {
+    SCOPED_TRACE("dst=" + std::to_string(dst));
+    const auto want = ref::s_distance(inc, 1, src, dst);
+    ASSERT_TRUE(want.has_value());
+    registry::get().reset();
+    EXPECT_EQ(lg.s_distance(src, dst), want);
+    const auto query = registry::get().counters_snapshot().at("graph_bfs.edges_relaxed");
+    registry::get().reset();
+    EXPECT_EQ(lg.s_path(src, dst).size(), *want + 1);
+    const auto path = registry::get().counters_snapshot().at("graph_bfs.edges_relaxed");
+    if (dst == near) {
+      EXPECT_EQ(query, lg.s_degree(src));  // only the source's row
+      EXPECT_EQ(path, lg.s_degree(src));
+      EXPECT_LT(query * 20, full) << "query " << query << " vs sweep " << full;
+    } else {
+      EXPECT_LE(query, full);
+      EXPECT_LE(path, full);
+    }
+  }
 }
 
 TEST_F(NwobsTest, MotifEmitsWedgeCounters) {

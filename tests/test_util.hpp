@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,22 @@
 namespace nwtest {
 
 using nw::vertex_id_t;
+
+/// alpha/beta that pin the direction-optimizing BFS engines
+/// (bfs_direction_optimizing, hyper_bfs) to one direction: alpha = 1 never
+/// leaves top-down (the scout count never exceeds the unscanned edges);
+/// alpha = 2^20 with beta = SIZE_MAX goes bottom-up at the first level with
+/// an edge and stays there.
+inline constexpr std::size_t top_down_alpha  = 1;
+inline constexpr std::size_t bottom_up_alpha = std::size_t{1} << 20;
+inline constexpr std::size_t bottom_up_beta  = SIZE_MAX;
+
+/// {top-down, bottom-up} steps recorded since the last registry reset by
+/// the engine family `family` ("graph_bfs" or "hyper_bfs").
+inline std::pair<std::uint64_t, std::uint64_t> direction_steps(const std::string& family) {
+  auto c = nw::obs::registry::get().counters_snapshot();
+  return {c[family + ".steps_top_down"], c[family + ".steps_bottom_up"]};
+}
 
 /// Canonical form of a line-graph edge list: sorted unique {lo, hi} pairs.
 inline std::vector<std::pair<vertex_id_t, vertex_id_t>> canonical_pairs(
