@@ -75,6 +75,9 @@ case "$MODE" in
     # (CAS claims, per-thread emission, atomic bitmap pulls).
     "$BUILD"/tests/test_hyper_algorithms
     "$BUILD"/tests/test_cross_representation
+    # Toplexes: the parallel dominance pass on hand-built duplicate,
+    # nesting and partial-overlap cases plus the random-property sweep.
+    "$BUILD"/tests/test_toplex
     ;;
   ubsan)
     BUILD=${2:-build-ubsan}

@@ -8,8 +8,11 @@
 // smaller id).  The tie-break keeps exactly one representative of each
 // family of duplicate hyperedges, matching the sequential algorithm's
 // output.  Each hyperedge is tested independently (embarrassingly
-// parallel), using hashmap overlap counting through the hypernode lists:
-// e ⊆ f  ⟺  |e ∩ f| == |e|.
+// parallel) by one predicate, `dominated`, which the incremental toplex
+// maintenance (nwhy/slinegraph/incremental.hpp) calls too: every superset
+// of e contains e's minimum-degree member, so only that member's incidence
+// list holds candidates, and each candidate that wins the tie-break is
+// probed member by member with `contains`.
 #pragma once
 
 #include <vector>
@@ -19,121 +22,87 @@
 #include "nwobs/scope_timer.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
 
 namespace nw::hypergraph {
 
-/// Ids of all toplexes of the hypergraph, ascending.  Generic over the
-/// CSR-like structures (`biadjacency` pairs or block-decoding
-/// `compressed_adjacency` views — the kernel keeps at most one live row
-/// per structure, within the views' row-cache lifetime contract).
+/// Is non-empty hyperedge `i` dominated?  Scans the incidence list of i's
+/// minimum-degree member (the pivot) for some j ≠ i that wins the
+/// tie-break (dⱼ > dᵢ, or dⱼ = dᵢ and j < i) and contains every member of
+/// i, probed with `edges.contains(j, v)` up to the first miss.  Empty edges
+/// are the caller's business (`toplex_ids` resolves them); this answers
+/// false.  Holds one live row per structure — row i of `edges` and the
+/// pivot's row of `nodes` — so it runs on compressed views within their
+/// row-cache contract.  Counts `toplex.dominance_checks` (subset tests run)
+/// and `toplex.dominance_checks_skipped` (pivot candidates rejected by
+/// degree or tie-break, or left after a dominator was found).
 template <class EGraph, class NGraph>
-std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypernodes) {
-  NWOBS_SCOPE_TIMER("toplex");
-  const std::size_t ne = hyperedges.size();
-  std::vector<char> dominated(ne, 0);
-
-  // Empty hyperedges are contained in every non-empty one; among a family of
-  // empty hyperedges only the smallest id can survive, and only if the
-  // hypergraph has no non-empty hyperedge at all.
-  bool        any_nonempty   = false;
-  vertex_id_t first_empty_id = null_vertex<>;
-  for (std::size_t i = 0; i < ne; ++i) {
-    if (hyperedges.degree(i) > 0) {
-      any_nonempty = true;
-    } else if (first_empty_id == null_vertex<>) {
-      first_empty_id = static_cast<vertex_id_t>(i);
-    }
+bool dominated(const EGraph& edges, const NGraph& nodes, vertex_id_t i) {
+  const std::size_t di = edges.degree(i);
+  if (di == 0) return false;
+  auto&&      members = edges[i];
+  vertex_id_t pivot   = null_vertex<>;
+  for (auto&& ev : members) {
+    const vertex_id_t v = target(ev);
+    if (pivot == null_vertex<> || nodes.degree(v) < nodes.degree(pivot)) pivot = v;
   }
+  bool        dom    = false;
+  std::size_t checks = 0;
+  for (auto&& ve : nodes[pivot]) {
+    const vertex_id_t j  = target(ve);
+    const std::size_t dj = edges.degree(j);
+    if (j == i || dj < di || (dj == di && j > i)) continue;
+    ++checks;
+    dom = true;
+    for (auto&& ev : members) {
+      const vertex_id_t v = target(ev);
+      if (v != pivot && !edges.contains(j, v)) {
+        dom = false;
+        break;
+      }
+    }
+    if (dom) break;
+  }
+  NWOBS_COUNT("toplex.dominance_checks", checks);
+  NWOBS_COUNT("toplex.dominance_checks_skipped", nodes.degree(pivot) - 1 - checks);
+  return dom;
+}
 
-  par::per_thread<counting_hashmap<>> maps;
-  par::parallel_for(0, ne, [&](unsigned tid, std::size_t i) {
-    vertex_id_t ei  = static_cast<vertex_id_t>(i);
-    std::size_t di  = hyperedges.degree(i);
-    if (di == 0) {
-      dominated[i] = (any_nonempty || ei != first_empty_id) ? 1 : 0;
-      return;
-    }
-    auto& overlap = maps.local(tid);
-    overlap.clear();
-    for (auto&& ev : hyperedges[i]) {
-      for (auto&& ve : hypernodes[target(ev)]) {
-        vertex_id_t ej = target(ve);
-        if (ej != ei) overlap.increment(ej);
-      }
-    }
-    bool        dom     = false;
-    std::size_t checks  = 0;  // candidates whose containment test actually ran
-    std::size_t skipped = 0;  // candidates skipped (dominator already found, or
-                              // pruned because |e_i ∩ e_j| < |e_i|)
-    overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-      if (dom || n < di) {  // |e_i ∩ e_j| == |e_i|  ⇒  e_i ⊆ e_j
-        ++skipped;
-        return;
-      }
-      ++checks;
-      std::size_t dj = hyperedges.degree(ej);
-      if (dj > di || (dj == di && ej < ei)) dom = true;
-    });
-    NWOBS_COUNT("toplex.dominance_checks", checks);
-    NWOBS_COUNT("toplex.dominance_checks_skipped", skipped);
-    dominated[i] = dom ? 1 : 0;
+/// Per-edge `dominated` flags (0 for empty edges), one parallel pass.
+template <class EGraph, class NGraph>
+std::vector<char> dominance_flags(const EGraph& edges, const NGraph& nodes) {
+  std::vector<char> flags(edges.size(), 0);
+  par::parallel_for(0, edges.size(), [&](std::size_t i) {
+    flags[i] = dominated(edges, nodes, static_cast<vertex_id_t>(i)) ? 1 : 0;
   });
+  return flags;
+}
 
+/// Ascending ids of the non-empty edges whose flag is clear, plus the
+/// empty-edge rule: an empty edge is contained in every non-empty one, and
+/// among empty edges only the smallest id survives — and only when the
+/// hypergraph has no non-empty edge at all.
+template <class EGraph>
+std::vector<vertex_id_t> toplex_ids(const EGraph& edges, const std::vector<char>& flags) {
+  const std::size_t ne           = edges.size();
+  bool              any_nonempty = false;
+  for (std::size_t i = 0; i < ne && !any_nonempty; ++i) any_nonempty = edges.degree(i) > 0;
   std::vector<vertex_id_t> result;
   for (std::size_t i = 0; i < ne; ++i) {
-    if (!dominated[i]) result.push_back(static_cast<vertex_id_t>(i));
+    if (edges.degree(i) > 0 ? !flags[i] : (!any_nonempty && result.empty())) {
+      result.push_back(static_cast<vertex_id_t>(i));
+    }
   }
   return result;
 }
 
-/// Serial reference implementation following the paper's Algorithm 3
-/// shape (iterate hyperedges, maintain the candidate set Ě); used by the
-/// property tests as ground truth.
-template <class EGraph>
-std::vector<vertex_id_t> toplexes_serial(const EGraph& hyperedges) {
-  const std::size_t        ne = hyperedges.size();
-  std::vector<vertex_id_t> candidates;
-
-  auto subset_of = [&](vertex_id_t a, vertex_id_t b) {
-    // a ⊆ b on sorted incidence lists.
-    auto ra  = hyperedges[a];
-    auto rb  = hyperedges[b];
-    auto ita = ra.begin();
-    auto itb = rb.begin();
-    while (ita != ra.end() && itb != rb.end()) {
-      if (target(*ita) == target(*itb)) {
-        ++ita;
-        ++itb;
-      } else if (target(*ita) > target(*itb)) {
-        ++itb;
-      } else {
-        return false;
-      }
-    }
-    return ita == ra.end();
-  };
-
-  for (std::size_t i = 0; i < ne; ++i) {
-    vertex_id_t ei   = static_cast<vertex_id_t>(i);
-    bool        keep = true;
-    for (std::size_t k = 0; k < candidates.size();) {
-      vertex_id_t ej = candidates[k];
-      if (subset_of(ei, ej)) {  // e_i ⊆ e_j: e_i is not maximal
-        keep = false;
-        break;
-      }
-      if (subset_of(ej, ei)) {  // e_j ⊂ e_i: evict the stale candidate
-        candidates[k] = candidates.back();
-        candidates.pop_back();
-        continue;
-      }
-      ++k;
-    }
-    if (keep) candidates.push_back(ei);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
+/// Ids of all toplexes of the hypergraph, ascending.  Generic over the
+/// CSR-like structures (`biadjacency` pairs or block-decoding
+/// `compressed_adjacency` views) that answer `size`, `degree`,
+/// `operator[]` and `contains`.
+template <class EGraph, class NGraph>
+std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypernodes) {
+  NWOBS_SCOPE_TIMER("toplex");
+  return toplex_ids(hyperedges, dominance_flags(hyperedges, hypernodes));
 }
 
 }  // namespace nw::hypergraph

@@ -4,9 +4,13 @@
 // engine (ROADMAP item 1).  Rebuilding an s-line graph or the toplex set
 // after every small mutation costs the full construction; these classes
 // instead maintain the derived structure under per-hyperedge updates,
-// recomputing only what the dirty set touches:
+// recomputing only what the dirty set touches.  Both keep their own
+// `dynamic_incidence` (so they stay coherent across compactions of the
+// source hypergraph), built once from the hypergraph and spliced by one
+// `update_edge`:
 //
-//   incremental_slinegraph — when hyperedge e's member list changes, only
+//   incremental_slinegraph — starts from the library's s-line build
+//     (`make_s_linegraph`).  When hyperedge e's member list changes, only
 //     line-graph pairs incident on e can appear or disappear (a pair {f, g}
 //     with e ∉ {f, g} has an unchanged overlap), so the update drops e's
 //     pairs and recounts overlaps against e alone.  s-connectivity is kept
@@ -19,10 +23,12 @@
 //     flip through its relation to the updated edge e, and any such f
 //     satisfies f ⊆ e_old or f ⊆ e_new, so recomputing e plus the edges
 //     incident on the dirty nodes (old ∪ new members of e) is exhaustive.
+//     Each recomputation is the batch kernel's `dominated` predicate
+//     (nwhy/algorithms/toplex.hpp) on the maintained incidence.
 //
-// Both are differential-tested against full rebuilds (PR-4 serial oracles)
-// in tests/test_dynamic.cpp; results are identical by construction, not
-// approximately.
+// Both are differential-tested against full rebuilds and the `ref::`
+// oracles in tests/test_dynamic.cpp; results are identical by
+// construction, not approximately.
 #pragma once
 
 #include <algorithm>
@@ -31,75 +37,99 @@
 #include <vector>
 
 #include "nwgraph/algorithms/bfs.hpp"
+#include "nwhy/algorithms/toplex.hpp"
 #include "nwhy/nwhypergraph.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/flat_hashmap.hpp"
 
 namespace nw::hypergraph {
 
-/// Per-entity sorted id lists (a hyperedge's members, a hypernode's edges).
-using incidence_lists = std::vector<std::vector<vertex_id_t>>;
+/// Per-entity sorted id lists (a hyperedge's members, or a hypernode's
+/// edges) with the read interface the kernels take from `biadjacency`.
+struct incidence_lists {
+  std::vector<std::vector<vertex_id_t>> rows;
+
+  [[nodiscard]] std::size_t size() const { return rows.size(); }
+  [[nodiscard]] std::size_t degree(std::size_t u) const { return rows[u].size(); }
+  [[nodiscard]] const std::vector<vertex_id_t>& operator[](std::size_t u) const { return rows[u]; }
+  [[nodiscard]] bool contains(std::size_t u, vertex_id_t t) const {
+    return std::binary_search(rows[u].begin(), rows[u].end(), t);
+  }
+};
+
+/// Both sides of a hypergraph's incidence, maintained under hyperedge
+/// updates: each edge's sorted members and the sorted transpose.
+class dynamic_incidence {
+public:
+  explicit dynamic_incidence(const NWHypergraph& h) {
+    edges_.rows.resize(h.num_hyperedges());
+    nodes_.rows.resize(h.num_hypernodes());
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+      edges_.rows[e] = h.edge_members(static_cast<vertex_id_t>(e));
+      for (vertex_id_t v : edges_.rows[e]) nodes_.rows[v].push_back(static_cast<vertex_id_t>(e));
+    }
+  }
+
+  [[nodiscard]] const incidence_lists& edges() const { return edges_; }
+  [[nodiscard]] const incidence_lists& nodes() const { return nodes_; }
+
+  /// Replace hyperedge `e`'s member list (insert when new — intermediate
+  /// ids become empty edges; ids past the node space grow it) and return
+  /// the previous one.
+  std::vector<vertex_id_t> update_edge(vertex_id_t e, std::vector<vertex_id_t> members) {
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    if (std::size_t{e} >= edges_.size()) edges_.rows.resize(std::size_t{e} + 1);
+    if (!members.empty() && std::size_t{members.back()} >= nodes_.size()) {
+      nodes_.rows.resize(std::size_t{members.back()} + 1);
+    }
+    for (vertex_id_t v : edges_.rows[e]) {
+      auto& edges = nodes_.rows[v];
+      auto  it    = std::lower_bound(edges.begin(), edges.end(), e);
+      if (it != edges.end() && *it == e) edges.erase(it);
+    }
+    for (vertex_id_t v : members) {
+      auto& edges = nodes_.rows[v];
+      auto  it    = std::lower_bound(edges.begin(), edges.end(), e);
+      if (it == edges.end() || *it != e) edges.insert(it, e);
+    }
+    std::swap(edges_.rows[e], members);
+    return members;
+  }
+
+private:
+  incidence_lists edges_;  ///< per-edge sorted members
+  incidence_lists nodes_;  ///< transpose, sorted
+};
 
 /// An s-line graph maintained under hyperedge updates.  Owns its own copy
-/// of the composed incidence (so it stays coherent across compactions of
-/// the source hypergraph) plus the line-graph adjacency and a lazily
+/// of the composed incidence plus the line-graph adjacency and a lazily
 /// repaired union-find over it.
 class incremental_slinegraph {
 public:
-  incremental_slinegraph(const NWHypergraph& h, std::size_t s) : s_(s) {
-    const std::size_t ne = h.num_hyperedges();
-    const std::size_t nv = h.num_hypernodes();
-    edge_members_.resize(ne);
-    node_edges_.resize(nv);
-    adj_.resize(ne);
-    for (std::size_t e = 0; e < ne; ++e) {
-      edge_members_[e] = h.edge_members(static_cast<vertex_id_t>(e));
-      for (vertex_id_t v : edge_members_[e]) {
-        node_edges_[v].push_back(static_cast<vertex_id_t>(e));
-      }
+  incremental_slinegraph(const NWHypergraph& h, std::size_t s)
+      : s_(s), inc_(h), adj_(inc_.edges().size()) {
+    const auto lines = h.make_s_linegraph(s);
+    for (std::size_t e = 0; e < lines.num_vertices(); ++e) {
+      for (auto&& f : lines.graph()[e]) adj_[e].push_back(target(f));
     }
-    counting_hashmap<> overlap;
-    for (std::size_t i = 0; i < ne; ++i) {
-      const vertex_id_t ei = static_cast<vertex_id_t>(i);
-      if (!active(ei)) continue;
-      overlap.clear();
-      for (vertex_id_t v : edge_members_[i]) {
-        for (vertex_id_t ej : node_edges_[v]) {
-          if (ej > ei && active(ej)) overlap.increment(ej);
-        }
-      }
-      overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-        if (n >= s_) {
-          adj_[ei].push_back(ej);
-          adj_[ej].push_back(ei);
-        }
-      });
-    }
-    for (auto& nbrs : adj_) std::sort(nbrs.begin(), nbrs.end());
     rebuild_union_find();
   }
 
   [[nodiscard]] std::size_t s() const { return s_; }
   [[nodiscard]] std::size_t num_vertices() const { return adj_.size(); }
   [[nodiscard]] bool        active(vertex_id_t e) const {
-    return e < edge_members_.size() && edge_members_[e].size() >= s_;
+    return e < inc_.edges().size() && inc_.edges().degree(e) >= s_;
   }
 
-  /// Replace hyperedge `e`'s member list (insert when new — intermediate
-  /// ids become empty edges; ids past the node space grow it).
+  /// Replace hyperedge `e`'s member list (see dynamic_incidence::update_edge).
   void update_edge(vertex_id_t e, std::vector<vertex_id_t> members) {
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()), members.end());
-    if (std::size_t{e} >= edge_members_.size()) {
-      edge_members_.resize(std::size_t{e} + 1);
-      adj_.resize(std::size_t{e} + 1);
-      parent_.reserve(std::size_t{e} + 1);
-      for (std::size_t i = parent_.size(); i <= std::size_t{e}; ++i) {
+    inc_.update_edge(e, std::move(members));
+    if (adj_.size() < inc_.edges().size()) {
+      adj_.resize(inc_.edges().size());
+      for (std::size_t i = parent_.size(); i < adj_.size(); ++i) {
         parent_.push_back(static_cast<vertex_id_t>(i));
       }
-    }
-    for (vertex_id_t v : members) {
-      if (std::size_t{v} >= node_edges_.size()) node_edges_.resize(std::size_t{v} + 1);
     }
     // Drop every line-graph pair incident on e.  A deletion can split an
     // s-component, which the union-find cannot undo: mark it for rebuild.
@@ -112,23 +142,11 @@ public:
       adj_[e].clear();
       cc_valid_ = false;
     }
-    // Splice the incidence update into the maintained transpose.
-    for (vertex_id_t v : edge_members_[e]) {
-      auto& edges = node_edges_[v];
-      auto  it    = std::lower_bound(edges.begin(), edges.end(), e);
-      if (it != edges.end() && *it == e) edges.erase(it);
-    }
-    for (vertex_id_t v : members) {
-      auto& edges = node_edges_[v];
-      auto  it    = std::lower_bound(edges.begin(), edges.end(), e);
-      if (it == edges.end() || *it != e) edges.insert(it, e);
-    }
-    edge_members_[e] = std::move(members);
     // Recount overlaps against e alone — the only dirty endpoint.
     if (active(e)) {
       counting_hashmap<> overlap;
-      for (vertex_id_t v : edge_members_[e]) {
-        for (vertex_id_t f : node_edges_[v]) {
+      for (vertex_id_t v : inc_.edges()[e]) {
+        for (vertex_id_t f : inc_.nodes()[v]) {
           if (f != e && active(f)) overlap.increment(f);
         }
       }
@@ -226,9 +244,8 @@ private:
   }
 
   std::size_t                           s_;
-  incidence_lists                       edge_members_;  ///< per-edge sorted members
-  incidence_lists                       node_edges_;    ///< transpose, sorted
-  std::vector<std::vector<vertex_id_t>> adj_;           ///< line-graph adjacency, sorted
+  dynamic_incidence                     inc_;
+  std::vector<std::vector<vertex_id_t>> adj_;  ///< line-graph adjacency, sorted
   mutable std::vector<vertex_id_t>      parent_;        ///< union-find forest over adj_
   mutable bool                          cc_valid_ = false;
 };
@@ -239,111 +256,39 @@ private:
 /// every edge whose status can change.
 class incremental_toplexes {
 public:
-  explicit incremental_toplexes(const NWHypergraph& h) {
-    const std::size_t ne = h.num_hyperedges();
-    const std::size_t nv = h.num_hypernodes();
-    edge_members_.resize(ne);
-    node_edges_.resize(nv);
-    dominated_.assign(ne, 0);
-    for (std::size_t e = 0; e < ne; ++e) {
-      edge_members_[e] = h.edge_members(static_cast<vertex_id_t>(e));
-      if (!edge_members_[e].empty()) ++nonempty_count_;
-      for (vertex_id_t v : edge_members_[e]) {
-        node_edges_[v].push_back(static_cast<vertex_id_t>(e));
-      }
-    }
-    for (std::size_t e = 0; e < ne; ++e) {
-      dominated_[e] = compute_dominated(static_cast<vertex_id_t>(e));
-    }
-  }
+  explicit incremental_toplexes(const NWHypergraph& h)
+      : inc_(h), dominated_(dominance_flags(inc_.edges(), inc_.nodes())) {}
 
-  [[nodiscard]] std::size_t num_hyperedges() const { return edge_members_.size(); }
+  [[nodiscard]] std::size_t num_hyperedges() const { return inc_.edges().size(); }
 
   void update_edge(vertex_id_t e, std::vector<vertex_id_t> members) {
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()), members.end());
-    if (std::size_t{e} >= edge_members_.size()) {
-      edge_members_.resize(std::size_t{e} + 1);
-      dominated_.resize(std::size_t{e} + 1, 0);
-    }
-    for (vertex_id_t v : members) {
-      if (std::size_t{v} >= node_edges_.size()) node_edges_.resize(std::size_t{v} + 1);
-    }
-    // Dirty set: every node the update touches, before splicing the lists.
-    std::vector<vertex_id_t> dirty_nodes = edge_members_[e];
-    dirty_nodes.insert(dirty_nodes.end(), members.begin(), members.end());
-    std::sort(dirty_nodes.begin(), dirty_nodes.end());
-    dirty_nodes.erase(std::unique(dirty_nodes.begin(), dirty_nodes.end()), dirty_nodes.end());
-    if (!edge_members_[e].empty()) --nonempty_count_;
-    if (!members.empty()) ++nonempty_count_;
-    for (vertex_id_t v : edge_members_[e]) {
-      auto& edges = node_edges_[v];
-      auto  it    = std::lower_bound(edges.begin(), edges.end(), e);
-      if (it != edges.end() && *it == e) edges.erase(it);
-    }
-    for (vertex_id_t v : members) {
-      auto& edges = node_edges_[v];
-      auto  it    = std::lower_bound(edges.begin(), edges.end(), e);
-      if (it == edges.end() || *it != e) edges.insert(it, e);
-    }
-    edge_members_[e] = std::move(members);
-    // Recompute the dirty set: e plus every edge incident on a dirty node.
+    // Dirty set: e plus every edge incident on a node the update touches.
+    std::vector<vertex_id_t> dirty_nodes = inc_.update_edge(e, std::move(members));
+    const auto&              now         = inc_.edges()[e];
+    dirty_nodes.insert(dirty_nodes.end(), now.begin(), now.end());
     std::vector<vertex_id_t> dirty_edges{e};
     for (vertex_id_t v : dirty_nodes) {
-      dirty_edges.insert(dirty_edges.end(), node_edges_[v].begin(), node_edges_[v].end());
+      const auto& edges = inc_.nodes()[v];
+      dirty_edges.insert(dirty_edges.end(), edges.begin(), edges.end());
     }
     std::sort(dirty_edges.begin(), dirty_edges.end());
     dirty_edges.erase(std::unique(dirty_edges.begin(), dirty_edges.end()), dirty_edges.end());
-    for (vertex_id_t f : dirty_edges) dominated_[f] = compute_dominated(f);
+    dominated_.resize(inc_.edges().size(), 0);
+    for (vertex_id_t f : dirty_edges) {
+      dominated_[f] = dominated(inc_.edges(), inc_.nodes(), f) ? 1 : 0;
+    }
   }
 
   void remove_edge(vertex_id_t e) { update_edge(e, {}); }
 
-  /// The current toplex ids (ascending), with the algorithms/toplex.hpp
-  /// empty-edge convention: empty edges survive only when the hypergraph
-  /// has no non-empty edge, and then only the smallest empty id.
+  /// The current toplex ids (ascending), by the batch kernel's `toplex_ids`.
   [[nodiscard]] std::vector<vertex_id_t> toplexes() const {
-    std::vector<vertex_id_t> out;
-    bool                     emitted_empty = false;
-    for (std::size_t e = 0; e < edge_members_.size(); ++e) {
-      if (edge_members_[e].empty()) {
-        if (nonempty_count_ == 0 && !emitted_empty) {
-          out.push_back(static_cast<vertex_id_t>(e));
-          emitted_empty = true;
-        }
-      } else if (!dominated_[e]) {
-        out.push_back(static_cast<vertex_id_t>(e));
-      }
-    }
-    return out;
+    return toplex_ids(inc_.edges(), dominated_);
   }
 
 private:
-  /// Non-empty edge i is dominated iff some j ≠ i has i ⊆ j and
-  /// (|j| > |i| ∨ (|j| == |i| ∧ j < i)) — the Algorithm 3 tie-break.
-  [[nodiscard]] bool compute_dominated(vertex_id_t i) const {
-    const std::size_t di = edge_members_[i].size();
-    if (di == 0) return false;  // empty edges are resolved at query time
-    overlap_.clear();
-    for (vertex_id_t v : edge_members_[i]) {
-      for (vertex_id_t j : node_edges_[v]) {
-        if (j != i) overlap_.increment(j);
-      }
-    }
-    bool dom = false;
-    overlap_.for_each([&](vertex_id_t j, std::uint32_t n) {
-      if (dom || n < di) return;
-      const std::size_t dj = edge_members_[j].size();
-      if (dj > di || (dj == di && j < i)) dom = true;
-    });
-    return dom;
-  }
-
-  incidence_lists            edge_members_;
-  incidence_lists            node_edges_;
-  std::vector<char>          dominated_;
-  std::size_t                nonempty_count_ = 0;
-  mutable counting_hashmap<> overlap_;
+  dynamic_incidence inc_;
+  std::vector<char> dominated_;
 };
 
 }  // namespace nw::hypergraph

@@ -473,7 +473,7 @@ TEST(CompressedDifferential, TraversalFamiliesMatchUncompressed) {
       EXPECT_EQ(cc_cmp.labels_node, cc_raw.labels_node);
 
       EXPECT_EQ(toplexes(Ec, Nc), toplexes(E, N));
-      EXPECT_EQ(toplexes_serial(Ec), toplexes_serial(E));
+      EXPECT_EQ(toplexes(Ec, Nc), ref::toplexes(ref::from_biedgelist(hg.edge_list())));
     }
   }
 }

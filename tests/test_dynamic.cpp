@@ -520,6 +520,9 @@ TEST(Dynamic, IncrementalToplexesMatchOracleUnderMutation) {
       apply_to_truth(truth, m);
       NWHypergraph rebuilt(truth.to_biedgelist());
       ASSERT_EQ(inc.toplexes(), rebuilt.toplexes());
+      // rebuilt.toplexes() runs the same predicate; the all-pairs oracle
+      // is the independent check.
+      ASSERT_EQ(inc.toplexes(), ref::toplexes(truth.to_incidence()));
     }
   }
 }
