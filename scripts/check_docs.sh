@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check_docs.sh — the doc-truth linter: docs/ and README.md may only
 # name things that exist in the tree, and production code may not call the
-# serial oracles.  Five checks:
+# serial oracles.  Six checks:
 #
 #   1. env knobs, both directions.  Every `NWHY_*` token in the docs must be
 #      read somewhere (a quoted "NWHY_*" string in src/tools/bench/tests/
@@ -31,6 +31,12 @@
 #      read through getenv / env_u64_strict / env_knob under src/ or tools/
 #      must be listed in `recorded_env` (src/nwobs/profile.hpp), so a
 #      profile says which knobs shaped its measurement.
+#   6. one relabel translation (full run only).  No file under src/ or
+#      tools/ may subscript a relabel map (`relabel_->perm[`,
+#      `relabel_->inv[`, `relabel_inv[`, `.perm[`, `.inv[`) except the two
+#      relabel headers, src/nwhy/relabel.hpp (whose `relabel_maps` owns
+#      every storage <-> external id translation) and src/nwgraph/relabel.hpp.
+#      Comment-only lines are skipped.
 #
 # Usage:
 #   scripts/check_docs.sh                 lint docs/*.md + README.md (both
@@ -40,8 +46,9 @@
 #   scripts/check_docs.sh --self-test     negative tests: a synthetic doc
 #                                         citing a nonexistent knob, a
 #                                         synthetic source tree calling an
-#                                         oracle, and one reading a knob its
-#                                         profiles omit, must all be
+#                                         oracle, one reading a knob its
+#                                         profiles omit, and one indexing a
+#                                         relabel map by hand, must all be
 #                                         rejected, and each rejection must
 #                                         name the culprit
 #
@@ -82,6 +89,22 @@ profile_lint() {
     fi
   done
   return "$bad"
+}
+
+# Check 6 on the tree rooted at $1: prints every line under src/ or tools/
+# outside the two relabel headers that subscripts a relabel map, and fails
+# if there is one.
+relabel_lint() {
+  local root=${1%/} hits
+  hits=$(grep -rnE --include='*.hpp' --include='*.cpp' --include='*.h' --include='*.c' \
+    'relabel_->(perm|inv)\[|relabel_inv\[|\.(perm|inv)\[' "$root/src" "$root/tools" 2>/dev/null \
+    | grep -vE "^$root/src/nwhy/relabel\.hpp:|^$root/src/nwgraph/relabel\.hpp:" \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+  [[ -z "$hits" ]] && return 0
+  while IFS= read -r line; do
+    echo "check_docs.sh: relabel map indexed outside relabel_maps (src/nwhy/relabel.hpp): $line" >&2
+  done <<<"$hits"
+  return 1
 }
 
 if [[ "${1:-}" == "--self-test" ]]; then
@@ -153,7 +176,38 @@ if [[ "${1:-}" == "--self-test" ]]; then
     cat "$TMP/out" >&2
     exit 1
   fi
-  echo "check_docs.sh: self-test OK (nonexistent knob, production oracle use and unrecorded profile knob rejected)"
+  # A hand-written relabel translation must be rejected by name; the
+  # relabel headers and comments must not be.
+  mkdir -p "$TMP/src/nwgraph"
+  printf 'inline int a(const M& m) { return m.inv[0]; }\n' >"$TMP/src/nwhy/relabel.hpp"
+  printf 'inline int b(const M& m) { return m.perm[0]; }\n' >"$TMP/src/nwgraph/relabel.hpp"
+  printf '// relabel_->inv[s] is the external id\n' >"$TMP/tools/tool.cpp"
+  if ! relabel_lint "$TMP" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — a tree translating only in relabel_maps was rejected" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  cases=(
+    'bad_member.hpp|inline auto x(vertex_id_t e) const { return relabel_->perm[e]; }'
+    'bad_snapshot.hpp|for (auto& e : eids) e = snap.relabel_inv[e];'
+    'bad_local.hpp|for (std::size_t i = 0; i < n; ++i) maps.perm[maps.inv[i]] = i;'
+  )
+  for c in "${cases[@]}"; do
+    name=${c%%|*}
+    printf '%s\n' "${c#*|}" >"$TMP/src/nwhy/algorithms/$name"
+    if relabel_lint "$TMP" >"$TMP/out" 2>&1; then
+      echo "check_docs.sh: self-test FAILED — $name passed the relabel lint" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    if ! grep -q "$name" "$TMP/out"; then
+      echo "check_docs.sh: self-test FAILED — rejection did not name $name" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    rm "$TMP/src/nwhy/algorithms/$name"
+  done
+  echo "check_docs.sh: self-test OK (nonexistent knob, production oracle use, unrecorded profile knob and hand-written relabel translation rejected)"
   exit 0
 fi
 
@@ -263,6 +317,12 @@ fi
 
 if [[ "$FULL" == 1 ]]; then
   profile_lint . || FAIL=1
+fi
+
+# --- check 6: one relabel translation --------------------------------------
+
+if [[ "$FULL" == 1 ]]; then
+  relabel_lint . || FAIL=1
 fi
 
 if [[ "$FAIL" != 0 ]]; then

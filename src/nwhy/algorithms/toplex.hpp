@@ -13,8 +13,15 @@
 // of e contains e's minimum-degree member, so only that member's incidence
 // list holds candidates, and each candidate that wins the tie-break is
 // probed member by member with `contains`.
+//
+// Every entry point takes a trailing `ext_ids` span: when non-empty,
+// ext_ids[i] is the id that orders edge i in the tie-breaks (a relabeled
+// hypergraph passes its storage-row -> external-id map, so the duplicate
+// representative kept is the one with the smallest *external* id); empty
+// means the edge ids themselves.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nwhy/biadjacency.hpp"
@@ -27,20 +34,23 @@ namespace nw::hypergraph {
 
 /// Is non-empty hyperedge `i` dominated?  Scans the incidence list of i's
 /// minimum-degree member (the pivot) for some j ≠ i that wins the
-/// tie-break (dⱼ > dᵢ, or dⱼ = dᵢ and j < i) and contains every member of
-/// i, probed with `edges.contains(j, v)` up to the first miss.  Empty edges
-/// are the caller's business (`toplex_ids` resolves them); this answers
-/// false.  Holds one live row per structure — row i of `edges` and the
-/// pivot's row of `nodes` — so it runs on compressed views within their
-/// row-cache contract.  Counts `toplex.dominance_checks` (subset tests run)
+/// tie-break (dⱼ > dᵢ, or dⱼ = dᵢ and j orders before i) and contains
+/// every member of i, probed with `edges.contains(j, v)` up to the first
+/// miss.  Empty edges are the caller's business (`toplex_ids` resolves
+/// them); this answers false.  Holds one live row per structure — row i
+/// of `edges` and the pivot's row of `nodes` — so it runs on compressed
+/// views within their row-cache contract.  Counts `toplex.dominance_checks` (subset tests run)
 /// and `toplex.dominance_checks_skipped` (pivot candidates rejected by
 /// degree or tie-break, or left after a dominator was found).
 template <class EGraph, class NGraph>
-bool dominated(const EGraph& edges, const NGraph& nodes, vertex_id_t i) {
+bool dominated(const EGraph& edges, const NGraph& nodes, vertex_id_t i,
+               std::span<const vertex_id_t> ext_ids = {}) {
   const std::size_t di = edges.degree(i);
   if (di == 0) return false;
-  auto&&      members = edges[i];
-  vertex_id_t pivot   = null_vertex<>;
+  auto              order   = [&](vertex_id_t x) { return ext_ids.empty() ? x : ext_ids[x]; };
+  const vertex_id_t oi      = order(i);
+  auto&&            members = edges[i];
+  vertex_id_t       pivot   = null_vertex<>;
   for (auto&& ev : members) {
     const vertex_id_t v = target(ev);
     if (pivot == null_vertex<> || nodes.degree(v) < nodes.degree(pivot)) pivot = v;
@@ -50,7 +60,7 @@ bool dominated(const EGraph& edges, const NGraph& nodes, vertex_id_t i) {
   for (auto&& ve : nodes[pivot]) {
     const vertex_id_t j  = target(ve);
     const std::size_t dj = edges.degree(j);
-    if (j == i || dj < di || (dj == di && j > i)) continue;
+    if (j == i || dj < di || (dj == di && order(j) > oi)) continue;
     ++checks;
     dom = true;
     for (auto&& ev : members) {
@@ -69,28 +79,37 @@ bool dominated(const EGraph& edges, const NGraph& nodes, vertex_id_t i) {
 
 /// Per-edge `dominated` flags (0 for empty edges), one parallel pass.
 template <class EGraph, class NGraph>
-std::vector<char> dominance_flags(const EGraph& edges, const NGraph& nodes) {
+std::vector<char> dominance_flags(const EGraph& edges, const NGraph& nodes,
+                                  std::span<const vertex_id_t> ext_ids = {}) {
   std::vector<char> flags(edges.size(), 0);
   par::parallel_for(0, edges.size(), [&](std::size_t i) {
-    flags[i] = dominated(edges, nodes, static_cast<vertex_id_t>(i)) ? 1 : 0;
+    flags[i] = dominated(edges, nodes, static_cast<vertex_id_t>(i), ext_ids) ? 1 : 0;
   });
   return flags;
 }
 
 /// Ascending ids of the non-empty edges whose flag is clear, plus the
 /// empty-edge rule: an empty edge is contained in every non-empty one, and
-/// among empty edges only the smallest id survives — and only when the
-/// hypergraph has no non-empty edge at all.
+/// among empty edges only the one ordering first survives — and only when
+/// the hypergraph has no non-empty edge at all.
 template <class EGraph>
-std::vector<vertex_id_t> toplex_ids(const EGraph& edges, const std::vector<char>& flags) {
+std::vector<vertex_id_t> toplex_ids(const EGraph& edges, const std::vector<char>& flags,
+                                    std::span<const vertex_id_t> ext_ids = {}) {
   const std::size_t ne           = edges.size();
   bool              any_nonempty = false;
   for (std::size_t i = 0; i < ne && !any_nonempty; ++i) any_nonempty = edges.degree(i) > 0;
   std::vector<vertex_id_t> result;
-  for (std::size_t i = 0; i < ne; ++i) {
-    if (edges.degree(i) > 0 ? !flags[i] : (!any_nonempty && result.empty())) {
-      result.push_back(static_cast<vertex_id_t>(i));
+  if (!any_nonempty) {
+    if (ne == 0) return result;
+    vertex_id_t first = 0;
+    for (std::size_t i = 1; i < ext_ids.size(); ++i) {
+      if (ext_ids[i] < ext_ids[first]) first = static_cast<vertex_id_t>(i);
     }
+    result.push_back(first);
+    return result;
+  }
+  for (std::size_t i = 0; i < ne; ++i) {
+    if (edges.degree(i) > 0 && !flags[i]) result.push_back(static_cast<vertex_id_t>(i));
   }
   return result;
 }
@@ -100,9 +119,10 @@ std::vector<vertex_id_t> toplex_ids(const EGraph& edges, const std::vector<char>
 /// `compressed_adjacency` views) that answer `size`, `degree`,
 /// `operator[]` and `contains`.
 template <class EGraph, class NGraph>
-std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypernodes) {
+std::vector<vertex_id_t> toplexes(const EGraph& hyperedges, const NGraph& hypernodes,
+                                  std::span<const vertex_id_t> ext_ids = {}) {
   NWOBS_SCOPE_TIMER("toplex");
-  return toplex_ids(hyperedges, dominance_flags(hyperedges, hypernodes));
+  return toplex_ids(hyperedges, dominance_flags(hyperedges, hypernodes, ext_ids), ext_ids);
 }
 
 }  // namespace nw::hypergraph

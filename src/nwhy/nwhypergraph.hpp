@@ -33,10 +33,10 @@
 // A third, orthogonal layer is the degree-ordered *storage relabeling*
 // (relabel_by_degree / nwhy/relabel.hpp): the internal generation may hold
 // hyperedge rows in descending-degree order for locality while every public
-// query keeps speaking original ("external") ids — queries translate in
-// through `perm` and answers translate out through `inv` at the API
-// boundary.  Relabeling is content-preserving (no version bump) and folds
-// away automatically on the first mutation.
+// query keeps speaking original ("external") ids — queries translate in and
+// answers translate out at the API boundary, each through its one
+// `relabel_maps` translation.  Relabeling is content-preserving (no version
+// bump) and folds away automatically on the first mutation.
 #pragma once
 
 #include <algorithm>
@@ -46,7 +46,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nwhy/adjoin.hpp"
@@ -134,13 +133,7 @@ public:
         // persisted maps so every query translates at the boundary.  An
         // embedded adjoin would be internal-space while the facade caches
         // external-space adjoins, so it is dropped and rebuilt lazily.
-        relabel_maps maps;
-        maps.inv = std::move(snap.relabel_inv);
-        maps.perm.resize(maps.inv.size());
-        for (std::size_t i = 0; i < maps.inv.size(); ++i) {
-          maps.perm[maps.inv[i]] = static_cast<vertex_id_t>(i);
-        }
-        relabel_ = std::move(maps);
+        relabel_ = relabel_maps::from_inverse(std::move(snap.relabel_inv));
         refresh_relabel_degrees();
       } else if (snap.adjoin) {
         adjoin_ = std::make_unique<adjoin_graph>(std::move(*snap.adjoin));
@@ -152,7 +145,8 @@ public:
         // relabeling away up front instead of carrying the maps.
         std::vector<vertex_id_t> eids(el.edge_ids());
         std::vector<vertex_id_t> nids(el.node_ids());
-        for (auto& e : eids) e = snap.relabel_inv[e];
+        relabel_maps::from_inverse(std::move(snap.relabel_inv))
+            .translate_ids(eids, relabel_maps::direction::to_external);
         biedgelist<> plain(std::move(eids), std::move(nids), el.num_vertices(0),
                            el.num_vertices(1));
         el = std::move(plain);
@@ -239,7 +233,7 @@ public:
     if (v < gen_->hypernodes.size()) {
       for (auto&& t : gen_->hypernodes[v]) {
         vertex_id_t e = target(t);
-        if (relabel_) e = relabel_->inv[e];
+        if (relabel_) e = relabel_->external_id(e);
         if (delta_.find(e) == nullptr) out.push_back(e);
       }
       // Internal-order rows come out in internal order; re-sort externally.
@@ -365,12 +359,10 @@ public:
       // (degree-ordered) rows — that is the locality win — and the workers
       // map pair endpoints back to external ids in their own buffers, so
       // both builds assemble the same CSR bytes.
-      std::span<const vertex_id_t> ext_ids;
-      if (relabel_) ext_ids = relabel_->inv;
       return s_linegraph(
           to_two_graph_hashmap_csr(g.hyperedges, g.hypernodes,
                                    relabel_ ? internal_edge_degrees_ : edge_degrees_, s,
-                                   par::blocked{}, ext_ids),
+                                   par::blocked{}, relabel_inverse()),
           edge_degrees_, s);
     }
     // Node-side clique graph: edge ids only act as the transpose dimension,
@@ -384,29 +376,10 @@ public:
   /// the memory/work tradeoff).
   [[nodiscard]] std::vector<vertex_id_t> s_connected_components_implicit(std::size_t s) const {
     const auto& g = live();
-    if (!relabel_) {
-      return nw::hypergraph::s_connected_components_implicit(g.hyperedges, g.hypernodes,
-                                                             edge_degrees_, s);
-    }
-    auto r = nw::hypergraph::s_connected_components_implicit(g.hyperedges, g.hypernodes,
-                                                             internal_edge_degrees_, s);
-    // Internal labels are each component's minimum *active internal* id;
-    // the unrelabeled convention is the minimum active external id.
-    const auto&              perm = relabel_->perm;
-    const std::size_t        ne   = perm.size();
-    std::vector<vertex_id_t> minext(ne, null_vertex<>);
-    for (std::size_t e = 0; e < ne; ++e) {
-      const vertex_id_t k = r[perm[e]];
-      if (k != null_vertex<> && static_cast<vertex_id_t>(e) < minext[k]) {
-        minext[k] = static_cast<vertex_id_t>(e);
-      }
-    }
-    std::vector<vertex_id_t> out(ne, null_vertex<>);
-    for (std::size_t e = 0; e < ne; ++e) {
-      const vertex_id_t k = r[perm[e]];
-      if (k != null_vertex<>) out[e] = minext[k];
-    }
-    return out;
+    auto        r = nw::hypergraph::s_connected_components_implicit(
+        g.hyperedges, g.hypernodes, relabel_ ? internal_edge_degrees_ : edge_degrees_, s);
+    // Relabeled labels are each component's minimum active storage row.
+    return relabel_ ? relabel_->to_external_components(r) : r;
   }
   [[nodiscard]] std::optional<std::size_t> s_distance_implicit(std::size_t s, vertex_id_t src,
                                                                vertex_id_t dst) const {
@@ -424,30 +397,10 @@ public:
     if (relabel_) {
       // Rare path: rebuild an external-order copy so the emission order
       // matches the unrelabeled run exactly.
-      return NWHypergraph(external_edge_list()).weighted_linegraph_edges(s);
+      return NWHypergraph(edge_list_in(nullptr)).weighted_linegraph_edges(s);
     }
     const auto& g = live();
     return to_two_graph_weighted(g.hyperedges, g.hypernodes, edge_degrees_, s);
-  }
-
-  /// A copy of this hypergraph with hyperedge ids relabeled by degree
-  /// (Sec. III-B.2's optimization — legal on the bipartite representation,
-  /// impossible on the adjoin one).  `perm_out`, if given, receives the
-  /// old-id -> new-id permutation.
-  [[nodiscard]] NWHypergraph relabel_edges_by_degree(
-      nw::graph::degree_order order = nw::graph::degree_order::descending,
-      std::vector<vertex_id_t>* perm_out = nullptr) const {
-    auto                perm = nw::graph::degree_permutation(edge_degrees_, order);
-    biedgelist<>        scratch;
-    const biedgelist<>& src = external_el(scratch);  // perm is over external ids
-    biedgelist<>        rel(num_hyperedges(), num_hypernodes());
-    rel.reserve(src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      auto [e, v] = src[i];
-      rel.push_back(perm[e], v);
-    }
-    if (perm_out) *perm_out = std::move(perm);
-    return NWHypergraph(std::move(rel));
   }
 
   /// Clique-expansion graph (Sec. III-B.3): graph over hypernodes replacing
@@ -464,15 +417,16 @@ public:
   [[nodiscard]] hyper_bfs_result bfs(vertex_id_t source_edge) const {
     const auto& g = live();
     if (!relabel_) return hyper_bfs(g.hyperedges, g.hypernodes, source_edge);
-    auto r = hyper_bfs(g.hyperedges, g.hypernodes, storage_edge_id(source_edge));
-    return derelabel_bfs(std::move(r), source_edge);
+    return relabel_->to_external(
+        hyper_bfs(g.hyperedges, g.hypernodes, storage_edge_id(source_edge)), source_edge);
   }
 
   /// HyperCC over the bipartite representation (min-label convention).
   [[nodiscard]] hyper_cc_result connected_components() const {
     const auto& g = live();
-    if (!relabel_) return hyper_cc(g.hyperedges, g.hypernodes);
-    return derelabel_cc(hyper_cc(g.hyperedges, g.hypernodes));
+    auto        r = hyper_cc(g.hyperedges, g.hypernodes);
+    if (relabel_) r.labels_edge = relabel_->to_external_components(r.labels_edge, r.labels_node);
+    return r;
   }
 
   /// AdjoinBFS / AdjoinCC through the adjoin representation (which itself
@@ -485,12 +439,17 @@ public:
     return adjoin_cc(adjoin(), engine);
   }
 
-  /// Toplexes (Algorithm 3).
+  /// Toplexes (Algorithm 3).  A relabeled hypergraph runs the kernel over
+  /// its storage rows with the external ids as the tie-break order, so the
+  /// representative kept among duplicate rows is the minimum external id.
   [[nodiscard]] std::vector<vertex_id_t> toplexes() const {
-    const auto& g        = live();
-    auto        internal = nw::hypergraph::toplexes(g.hyperedges, g.hypernodes);
-    if (!relabel_) return internal;
-    return derelabel_toplexes(internal);
+    const auto& g   = live();
+    auto        ids = nw::hypergraph::toplexes(g.hyperedges, g.hypernodes, relabel_inverse());
+    if (relabel_) {
+      relabel_->translate_ids(ids, relabel_maps::direction::to_external);
+      std::sort(ids.begin(), ids.end());
+    }
+    return ids;
   }
 
   /// Wedge/triad/butterfly census of the bipartite form
@@ -511,19 +470,8 @@ public:
   /// the next mutation folds the relabeling away automatically.
   void relabel_by_degree(nw::graph::degree_order order = nw::graph::degree_order::descending) {
     require_compacted("relabel_by_degree");
-    auto& pool = par::thread_pool::default_pool();
-    auto  maps = degree_relabel_maps(edge_degrees_, order, pool);
-    std::vector<vertex_id_t> to_storage;
-    if (relabel_) {
-      // Compose: current storage id -> external id -> new storage id.
-      to_storage.resize(maps.perm.size());
-      for (std::size_t i = 0; i < to_storage.size(); ++i) {
-        to_storage[i] = maps.perm[relabel_->inv[i]];
-      }
-    } else {
-      to_storage = maps.perm;
-    }
-    rebuild_with_edge_map(to_storage, pool);
+    auto maps = degree_relabel_maps(edge_degrees_, order);
+    rebuild_in(&maps);
     relabel_ = std::move(maps);
     refresh_relabel_degrees();
     // adjoin_ (external-space) stays valid; content and version unchanged.
@@ -533,11 +481,9 @@ public:
   void derelabel() {
     if (!relabel_) return;
     require_compacted("derelabel");
-    auto& pool = par::thread_pool::default_pool();
-    auto  inv  = std::move(relabel_->inv);
+    rebuild_in(nullptr);
     relabel_.reset();
     internal_edge_degrees_.clear();
-    rebuild_with_edge_map(inv, pool);
   }
 
   [[nodiscard]] bool is_relabeled() const { return relabel_.has_value(); }
@@ -570,52 +516,41 @@ private:
   /// External query id -> internal storage row (identity when unrelabeled
   /// or out of range — out-of-range ids keep their unrelabeled behavior).
   [[nodiscard]] vertex_id_t storage_edge_id(vertex_id_t e) const {
-    return relabel_ && e < relabel_->perm.size() ? relabel_->perm[e] : e;
+    return relabel_ ? relabel_->storage_id(e) : e;
   }
 
   /// Recompute both degree views after adopting a relabeled generation:
   /// internal for the CSR-order algorithms, external for the public API.
   void refresh_relabel_degrees() {
     internal_edge_degrees_ = gen_->hyperedges.degrees();
-    std::vector<std::size_t> ext(internal_edge_degrees_.size());
-    const auto&              inv = relabel_->inv;
-    for (std::size_t i = 0; i < ext.size(); ++i) ext[inv[i]] = internal_edge_degrees_[i];
-    edge_degrees_ = std::move(ext);
+    edge_degrees_          = relabel_->to_external_order(internal_edge_degrees_);
   }
 
-  /// Rebuild the generation with every edge id mapped through `to_new`
-  /// (content-preserving: same incidences under a bijection of edge ids).
-  void rebuild_with_edge_map(const std::vector<vertex_id_t>& to_new, par::thread_pool& pool) {
+  /// The base edge list in canonical order with every edge id translated
+  /// from its storage row to its external id and then, when `to` is given,
+  /// on to `to`'s storage row.
+  [[nodiscard]] biedgelist<> edge_list_in(const relabel_maps* to) const {
     std::vector<vertex_id_t> edge_ids(gen_->el.edge_ids());
     std::vector<vertex_id_t> node_ids(gen_->el.node_ids());
-    par::parallel_for(
-        0, edge_ids.size(), [&](std::size_t i) { edge_ids[i] = to_new[edge_ids[i]]; },
-        par::blocked{}, pool);
-    biedgelist<> el(std::move(edge_ids), std::move(node_ids), num_hyperedges(),
-                    num_hypernodes());
-    el.sort_and_unique();
-    const std::uint64_t next_id = gen_->id + 1;
-    auto                gen     = std::make_shared<hypergraph_generation>();
-    gen->el         = std::move(el);
-    gen->hyperedges = biadjacency<0>(gen->el);
-    gen->hypernodes = biadjacency<1>(gen->el);
-    gen->id         = next_id;
-    adopt_generation(std::move(gen));
-  }
-
-  /// The edge list translated back to external ids (relabeled state only).
-  [[nodiscard]] biedgelist<> external_edge_list() const {
-    auto&                    pool = par::thread_pool::default_pool();
-    std::vector<vertex_id_t> edge_ids(gen_->el.edge_ids());
-    std::vector<vertex_id_t> node_ids(gen_->el.node_ids());
-    const auto&              inv = relabel_->inv;
-    par::parallel_for(
-        0, edge_ids.size(), [&](std::size_t i) { edge_ids[i] = inv[edge_ids[i]]; },
-        par::blocked{}, pool);
+    if (relabel_) relabel_->translate_ids(edge_ids, relabel_maps::direction::to_external);
+    if (to != nullptr) to->translate_ids(edge_ids, relabel_maps::direction::to_storage);
     biedgelist<> el(std::move(edge_ids), std::move(node_ids), num_hyperedges(),
                     num_hypernodes());
     el.sort_and_unique();
     return el;
+  }
+
+  /// Rebuild the generation in `to`'s storage order, or in external order
+  /// when `to` is null (content-preserving: same incidences under a
+  /// bijection of edge ids).
+  void rebuild_in(const relabel_maps* to) {
+    const std::uint64_t next_id = gen_->id + 1;
+    auto                gen     = std::make_shared<hypergraph_generation>();
+    gen->el         = edge_list_in(to);
+    gen->hyperedges = biadjacency<0>(gen->el);
+    gen->hypernodes = biadjacency<1>(gen->el);
+    gen->id         = next_id;
+    adopt_generation(std::move(gen));
   }
 
   static std::unique_ptr<adjoin_graph> build_adjoin(const biedgelist<>& el) {
@@ -630,9 +565,9 @@ private:
                  const csr_shard_options* shard, bool with_adjoin) const {
     require_compacted("save_csr_snapshot");
     csr_write_options wopt;
-    wopt.compress = compress;
-    wopt.shard    = shard;
-    if (relabel_) wopt.relabel_inv = std::span<const vertex_id_t>(relabel_->inv);
+    wopt.compress    = compress;
+    wopt.shard       = shard;
+    wopt.relabel_inv = relabel_inverse();
     std::unique_ptr<adjoin_graph> internal_adjoin;
     if (with_adjoin) {
       if (relabel_) {
@@ -645,97 +580,6 @@ private:
       }
     }
     write_csr_snapshot(path, gen_->hyperedges, gen_->hypernodes, wopt);
-  }
-
-  /// Translate a BFS over the internal rows back to external edge ids.
-  [[nodiscard]] hyper_bfs_result derelabel_bfs(hyper_bfs_result r, vertex_id_t source) const {
-    const auto&      perm = relabel_->perm;
-    const auto&      inv  = relabel_->inv;
-    auto&            pool = par::thread_pool::default_pool();
-    hyper_bfs_result out;
-    out.dist_node = std::move(r.dist_node);  // node ids never move
-    out.parents_node.resize(r.parents_node.size());
-    out.dist_edge.resize(r.dist_edge.size());
-    out.parents_edge.resize(r.parents_edge.size());
-    par::parallel_for(
-        0, out.dist_edge.size(),
-        [&](std::size_t e) {
-          out.dist_edge[e]    = r.dist_edge[perm[e]];
-          out.parents_edge[e] = r.parents_edge[perm[e]];  // parent is a node id
-        },
-        par::blocked{}, pool);
-    par::parallel_for(
-        0, out.parents_node.size(),
-        [&](std::size_t v) {
-          const vertex_id_t p = r.parents_node[v];
-          out.parents_node[v] = p == null_vertex<> ? p : inv[p];
-        },
-        par::blocked{}, pool);
-    // The source-parents-itself convention stores an edge id in the edge
-    // slot; the gather above copied the internal id.
-    if (source < out.parents_edge.size() && out.parents_edge[source] != null_vertex<>) {
-      out.parents_edge[source] = source;
-    }
-    return out;
-  }
-
-  /// Translate CC labels: internal labels are each component's minimum
-  /// internal id; substitute the component's minimum external id.
-  [[nodiscard]] hyper_cc_result derelabel_cc(hyper_cc_result r) const {
-    const auto&              perm = relabel_->perm;
-    const std::size_t        ne   = perm.size();
-    std::vector<vertex_id_t> minext(ne, null_vertex<>);
-    for (std::size_t e = 0; e < ne; ++e) {
-      const vertex_id_t k = r.labels_edge[perm[e]];
-      if (static_cast<vertex_id_t>(e) < minext[k]) minext[k] = static_cast<vertex_id_t>(e);
-    }
-    hyper_cc_result out;
-    out.labels_edge.resize(ne);
-    for (std::size_t e = 0; e < ne; ++e) out.labels_edge[e] = minext[r.labels_edge[perm[e]]];
-    out.labels_node = std::move(r.labels_node);
-    for (auto& l : out.labels_node) {
-      if (l < ne) l = minext[l];  // >= ne: isolated-node label, id-stable
-    }
-    return out;
-  }
-
-  /// Translate toplexes: the set family is label-invariant, but the
-  /// representative among duplicate rows is the *minimum id* — and the
-  /// minimum-internal member of a duplicate group need not be the
-  /// minimum-external one.  Rebucket rows by content and re-pick.
-  [[nodiscard]] std::vector<vertex_id_t> derelabel_toplexes(
-      const std::vector<vertex_id_t>& internal) const {
-    const auto&       inv = relabel_->inv;
-    const auto&       he  = gen_->hyperedges;
-    const std::size_t ne  = he.size();
-    auto              row_hash = [&](vertex_id_t e) {
-      std::uint64_t h = 1469598103934665603ull;
-      for (auto&& ev : he[e]) {
-        h ^= static_cast<std::uint64_t>(target(ev)) + 0x9e3779b97f4a7c15ull;
-        h *= 1099511628211ull;
-      }
-      return h;
-    };
-    auto same_row = [&](vertex_id_t a, vertex_id_t b) {
-      auto ra = he[a];
-      auto rb = he[b];
-      return std::equal(ra.begin(), ra.end(), rb.begin(), rb.end());
-    };
-    std::unordered_map<std::uint64_t, std::vector<vertex_id_t>> buckets;
-    for (std::size_t e = 0; e < ne; ++e) {
-      buckets[row_hash(static_cast<vertex_id_t>(e))].push_back(static_cast<vertex_id_t>(e));
-    }
-    std::vector<vertex_id_t> out;
-    out.reserve(internal.size());
-    for (vertex_id_t t : internal) {
-      vertex_id_t best = null_vertex<>;
-      for (vertex_id_t m : buckets[row_hash(t)]) {
-        if (same_row(t, m) && inv[m] < best) best = inv[m];
-      }
-      out.push_back(best);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
   }
 
   void require_compacted(const char* what) const {
@@ -829,7 +673,7 @@ private:
   /// generation's own list, or (relabeled) a translated copy in `scratch`.
   const biedgelist<>& external_el(biedgelist<>& scratch) const {
     if (!relabel_) return live().el;
-    scratch = external_edge_list();
+    scratch = edge_list_in(nullptr);
     return scratch;
   }
 

@@ -14,16 +14,20 @@
 // old ids, a column-major (bucket, thread) prefix sum assigns each
 // (bucket, thread) pair its disjoint output range, and every thread
 // scatters its block in ascending old-id order — race-free and stable by
-// construction.  Answers are translated back through the inverse map, so
-// relabeling stays invisible to callers (verified by the differential
-// ladder).
+// construction.  `relabel_maps` then owns every translation between
+// storage rows and external ids — point lookups, id arrays, per-row value
+// arrays, component labels and BFS results — so relabeling stays invisible
+// to callers (verified by the differential ladder).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "nwgraph/relabel.hpp"
+#include "nwhy/algorithms/hyper_bfs.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/defs.hpp"
 
@@ -31,12 +35,99 @@ namespace nw::hypergraph {
 
 /// Both directions of a relabeling: `perm[old_id] = new_id` (apply) and
 /// `inv[new_id] = old_id` (translate answers back / persist as kind 13).
+/// "External" ids are the caller's hyperedge ids, "storage" rows the
+/// relabeled order.  The members below are the only code that indexes
+/// either map: every query translates in and every answer translates out
+/// through them.
 struct relabel_maps {
   std::vector<nw::vertex_id_t> perm;
   std::vector<nw::vertex_id_t> inv;
 
-  [[nodiscard]] std::size_t size() const { return perm.size(); }
-  [[nodiscard]] bool        empty() const { return perm.empty(); }
+  /// The pair for a persisted inverse (a snapshot's kind-13 section).
+  static relabel_maps from_inverse(std::vector<nw::vertex_id_t> inv) {
+    relabel_maps maps;
+    maps.perm = nw::graph::inverse_permutation(inv);
+    maps.inv  = std::move(inv);
+    return maps;
+  }
+
+  /// External id -> storage row; out-of-range ids pass through unchanged,
+  /// so they keep their unrelabeled (unreached / empty) behavior.
+  [[nodiscard]] nw::vertex_id_t storage_id(nw::vertex_id_t e) const {
+    return e < perm.size() ? perm[e] : e;
+  }
+  /// Storage row -> external id (precondition: s < size()).
+  [[nodiscard]] nw::vertex_id_t external_id(nw::vertex_id_t s) const { return inv[s]; }
+
+  enum class direction { to_storage, to_external };
+
+  /// Translate an array of edge ids in place (parallel).
+  void translate_ids(std::span<nw::vertex_id_t> ids, direction to,
+                     par::thread_pool& pool = par::thread_pool::default_pool()) const {
+    const auto& map = to == direction::to_storage ? perm : inv;
+    par::parallel_for(
+        0, ids.size(), [&](std::size_t i) { ids[i] = map[ids[i]]; }, par::blocked{}, pool);
+  }
+
+  /// Reorder per-row values into external order: out[inv[s]] = by_row[s].
+  template <class T>
+  [[nodiscard]] std::vector<T> to_external_order(
+      const std::vector<T>& by_row,
+      par::thread_pool&     pool = par::thread_pool::default_pool()) const {
+    NW_ASSERT(by_row.size() == inv.size(), "to_external_order size mismatch");
+    std::vector<T> out(by_row.size());
+    par::parallel_for(
+        0, by_row.size(), [&](std::size_t s) { out[inv[s]] = by_row[s]; }, par::blocked{}, pool);
+    return out;
+  }
+
+  /// Translate component labels computed over storage rows — each row's
+  /// label is the storage row naming its component, null_vertex<> for an
+  /// unlabeled row — into external order under the unrelabeled convention:
+  /// a component is named by its minimum external id.  `node_labels` that
+  /// name a row are renamed the same way in place; larger ones (isolated
+  /// hypernodes) are id-stable.
+  [[nodiscard]] std::vector<nw::vertex_id_t> to_external_components(
+      const std::vector<nw::vertex_id_t>& row_labels,
+      std::span<nw::vertex_id_t>          node_labels = {}) const {
+    const std::size_t            n = inv.size();
+    std::vector<nw::vertex_id_t> min_ext(n, null_vertex<>);
+    for (std::size_t s = 0; s < n; ++s) {
+      const nw::vertex_id_t k = row_labels[s];
+      if (k != null_vertex<>) min_ext[k] = std::min(min_ext[k], inv[s]);
+    }
+    std::vector<nw::vertex_id_t> out(n, null_vertex<>);
+    for (std::size_t s = 0; s < n; ++s) {
+      const nw::vertex_id_t k = row_labels[s];
+      if (k != null_vertex<>) out[inv[s]] = min_ext[k];
+    }
+    for (auto& l : node_labels) {
+      if (l < n) l = min_ext[l];
+    }
+    return out;
+  }
+
+  /// Translate a HyperBFS run from storage row `storage_id(source)` into
+  /// external ids: edge-indexed arrays reorder (their values, hypernode
+  /// ids, never move), node parents map through `inv`, and the source
+  /// parents itself under its external id.
+  [[nodiscard]] hyper_bfs_result to_external(
+      hyper_bfs_result r, nw::vertex_id_t source,
+      par::thread_pool& pool = par::thread_pool::default_pool()) const {
+    r.dist_edge    = to_external_order(r.dist_edge, pool);
+    r.parents_edge = to_external_order(r.parents_edge, pool);
+    par::parallel_for(
+        0, r.parents_node.size(),
+        [&](std::size_t v) {
+          nw::vertex_id_t& p = r.parents_node[v];
+          if (p != null_vertex<>) p = inv[p];
+        },
+        par::blocked{}, pool);
+    if (source < r.parents_edge.size() && r.parents_edge[source] != null_vertex<>) {
+      r.parents_edge[source] = source;
+    }
+    return r;
+  }
 };
 
 /// Build the degree-ordered permutation pair.  Deterministic for any thread
@@ -109,28 +200,6 @@ inline relabel_maps degree_relabel_maps(const std::vector<std::size_t>& degrees,
     }
   });
   return maps;
-}
-
-/// Translate a span of ids in place through a map (parallel).  Used for
-/// answer translation (`inv`) and query translation (`perm`) alike.
-inline void translate_ids(std::vector<nw::vertex_id_t>&       ids,
-                          const std::vector<nw::vertex_id_t>& map,
-                          par::thread_pool& pool = par::thread_pool::default_pool()) {
-  par::parallel_for(
-      0, ids.size(), [&](std::size_t i) { ids[i] = map[ids[i]]; }, par::blocked{}, pool);
-}
-
-/// Reorder a per-id vector from old-id indexing to new-id indexing:
-/// out[perm[i]] = in[i].  Parallel scatter; sizes must match.
-template <class T>
-std::vector<T> reindex_by_permutation(const std::vector<T>&               in,
-                                      const std::vector<nw::vertex_id_t>& perm,
-                                      par::thread_pool& pool = par::thread_pool::default_pool()) {
-  NW_ASSERT(in.size() == perm.size(), "reindex_by_permutation size mismatch");
-  std::vector<T> out(in.size());
-  par::parallel_for(
-      0, in.size(), [&](std::size_t i) { out[perm[i]] = in[i]; }, par::blocked{}, pool);
-  return out;
 }
 
 }  // namespace nw::hypergraph

@@ -22,8 +22,9 @@
 //   incremental_toplexes — a non-empty edge f's dominance status can only
 //     flip through its relation to the updated edge e, and any such f
 //     satisfies f ⊆ e_old or f ⊆ e_new, so recomputing e plus the edges
-//     incident on the dirty nodes (old ∪ new members of e) is exhaustive.
-//     Each recomputation is the batch kernel's `dominated` predicate
+//     incident on the dirty nodes (old ∪ new members of e) that are no
+//     larger than max(|e_old|, |e_new|) is exhaustive.  Each recomputation
+//     is the batch kernel's `dominated` predicate
 //     (nwhy/algorithms/toplex.hpp) on the maintained incidence.
 //
 // Both are differential-tested against full rebuilds and the `ref::`
@@ -252,8 +253,9 @@ private:
 
 /// The toplex set maintained under hyperedge updates.  Keeps a dominance
 /// flag per edge; an update recomputes the flags of the updated edge and of
-/// every edge incident on a dirty node (old ∪ new members) — a superset of
-/// every edge whose status can change.
+/// every edge incident on a dirty node (old ∪ new members) that could be a
+/// subset of the old or new row — a superset of every edge whose status
+/// can change.
 class incremental_toplexes {
 public:
   explicit incremental_toplexes(const NWHypergraph& h)
@@ -262,14 +264,17 @@ public:
   [[nodiscard]] std::size_t num_hyperedges() const { return inc_.edges().size(); }
 
   void update_edge(vertex_id_t e, std::vector<vertex_id_t> members) {
-    // Dirty set: e plus every edge incident on a node the update touches.
+    // Dirty set: e plus every edge incident on a node the update touches
+    // and small enough to sit inside the old or the new row.
     std::vector<vertex_id_t> dirty_nodes = inc_.update_edge(e, std::move(members));
     const auto&              now         = inc_.edges()[e];
+    const std::size_t        max_size    = std::max(dirty_nodes.size(), now.size());
     dirty_nodes.insert(dirty_nodes.end(), now.begin(), now.end());
     std::vector<vertex_id_t> dirty_edges{e};
     for (vertex_id_t v : dirty_nodes) {
-      const auto& edges = inc_.nodes()[v];
-      dirty_edges.insert(dirty_edges.end(), edges.begin(), edges.end());
+      for (vertex_id_t f : inc_.nodes()[v]) {
+        if (inc_.edges().degree(f) <= max_size) dirty_edges.push_back(f);
+      }
     }
     std::sort(dirty_edges.begin(), dirty_edges.end());
     dirty_edges.erase(std::unique(dirty_edges.begin(), dirty_edges.end()), dirty_edges.end());

@@ -273,32 +273,3 @@ TEST(Transforms, DegreeHistogram) {
   auto                     h = degree_histogram(degrees);
   EXPECT_EQ(h, (std::vector<std::size_t>{1, 2, 0, 3}));
 }
-
-// --- relabel facade -----------------------------------------------------------------
-
-TEST(RelabelFacade, PermutationMapsDegreesCorrectly) {
-  NWHypergraph hg(gen::powerlaw_hypergraph(50, 40, 12, 1.5, 1.0, 0xBBB));
-  std::vector<vertex_id_t> perm;
-  auto rel = hg.relabel_edges_by_degree(nw::graph::degree_order::descending, &perm);
-  ASSERT_EQ(rel.num_hyperedges(), hg.num_hyperedges());
-  for (std::size_t e = 0; e < hg.num_hyperedges(); ++e) {
-    EXPECT_EQ(rel.edge_sizes()[perm[e]], hg.edge_sizes()[e]);
-  }
-  // Descending: new ids have weakly decreasing size.
-  EXPECT_TRUE(std::is_sorted(rel.edge_sizes().begin(), rel.edge_sizes().end(),
-                             std::greater<>{}));
-}
-
-TEST(RelabelFacade, SLineGraphIsIsomorphic) {
-  NWHypergraph hg(gen::uniform_random_hypergraph(40, 30, 4, 0xCCC));
-  std::vector<vertex_id_t> perm;
-  auto rel = hg.relabel_edges_by_degree(nw::graph::degree_order::ascending, &perm);
-  for (std::size_t s : {1, 2}) {
-    auto orig = hg.make_s_linegraph(s);
-    auto relg = rel.make_s_linegraph(s);
-    EXPECT_EQ(orig.num_edges(), relg.num_edges()) << "s=" << s;
-    for (vertex_id_t e = 0; e < hg.num_hyperedges(); ++e) {
-      EXPECT_EQ(orig.s_degree(e), relg.s_degree(perm[e]));
-    }
-  }
-}

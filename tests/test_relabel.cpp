@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 #if defined(__unix__) || defined(__APPLE__)
@@ -21,6 +22,7 @@
 #include "nwhy/relabel.hpp"
 #include "nwobs/counters.hpp"
 #include "prop_harness.hpp"
+#include "test_util.hpp"
 
 using namespace nw::hypergraph;
 using nw::vertex_id_t;
@@ -42,6 +44,41 @@ struct scratch_file {
   }
 };
 
+/// Hop depth of every vertex of an adjoin BFS tree, in the shared index set
+/// (hyperedges, then hypernodes), walked up the parent chain;
+/// null_vertex<> when unreached.  A BFS tree's parents sit one level up,
+/// so the depths are the BFS distances whatever the schedule picked.
+std::vector<vertex_id_t> adjoin_depths(const adjoin_bfs_result& r) {
+  std::vector<vertex_id_t> parent(r.parents_edge);
+  parent.insert(parent.end(), r.parents_node.begin(), r.parents_node.end());
+  std::vector<vertex_id_t> depth(parent.size(), nw::null_vertex<>);
+  std::vector<vertex_id_t> chain;
+  for (std::size_t x = 0; x < parent.size(); ++x) {
+    vertex_id_t u = static_cast<vertex_id_t>(x);
+    while (parent[u] != nw::null_vertex<> && depth[u] == nw::null_vertex<> && parent[u] != u) {
+      chain.push_back(u);
+      u = parent[u];
+    }
+    if (parent[u] == u) depth[u] = 0;
+    for (; !chain.empty(); chain.pop_back()) {
+      const vertex_id_t c = chain.back();
+      if (depth[u] != nw::null_vertex<>) depth[c] = depth[u] + 1;
+      u = c;
+    }
+  }
+  return depth;
+}
+
+/// The weighted 1-line edge list as a sorted (i, j, w) multiset.
+std::vector<std::tuple<vertex_id_t, vertex_id_t, std::uint32_t>> weighted_triples(
+    const nw::graph::edge_list<std::uint32_t>& w) {
+  std::vector<std::tuple<vertex_id_t, vertex_id_t, std::uint32_t>> out;
+  out.reserve(w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) out.push_back(w[i]);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// Assert that every structural and algorithmic query answers identically
 /// on `plain` and `twin` — the invisibility contract of relabeling.
 void expect_query_equivalence(const NWHypergraph& plain, const NWHypergraph& twin) {
@@ -59,6 +96,13 @@ void expect_query_equivalence(const NWHypergraph& plain, const NWHypergraph& twi
   for (vertex_id_t v = 0; v < nn; ++v) {
     ASSERT_EQ(plain.incident_edges(v), twin.incident_edges(v)) << "node " << v;
   }
+  // Point incidence on a stride of pairs, out-of-range edges included.
+  const vertex_id_t node_stride = std::max<vertex_id_t>(1, nn / 7);
+  for (vertex_id_t e = 0; e < ne + 2; ++e) {
+    for (vertex_id_t v = e % node_stride; v < nn + 1; v += node_stride) {
+      ASSERT_EQ(plain.contains(e, v), twin.contains(e, v)) << "edge " << e << " node " << v;
+    }
+  }
 
   // HyperCC labels are canonical (per-component min hyperedge id) and
   // toplexes emit ascending ids: both must be bit-identical.
@@ -67,6 +111,27 @@ void expect_query_equivalence(const NWHypergraph& plain, const NWHypergraph& twi
   ASSERT_EQ(cc_a.labels_edge, cc_b.labels_edge);
   ASSERT_EQ(cc_a.labels_node, cc_b.labels_node);
   ASSERT_EQ(plain.toplexes(), twin.toplexes());
+  ASSERT_EQ(plain.motifs(), twin.motifs());
+
+  // Adjoin-side queries: component partitions (afforest labels are
+  // schedule-dependent) and BFS distances.
+  auto acc_a = plain.connected_components_adjoin();
+  auto acc_b = twin.connected_components_adjoin();
+  ASSERT_EQ(acc_a.labels_edge.size(), acc_b.labels_edge.size());
+  auto concat = [](const adjoin_cc_result& r) {
+    std::vector<vertex_id_t> all(r.labels_edge);
+    all.insert(all.end(), r.labels_node.begin(), r.labels_node.end());
+    return all;
+  };
+  ASSERT_TRUE(nwtest::same_partition(concat(acc_a), concat(acc_b)));
+
+  // The dual's canonical edge list and the weighted line graph's triples.
+  auto dual_a = plain.dual();
+  auto dual_b = twin.dual();
+  ASSERT_EQ(dual_a.edge_list().edge_ids(), dual_b.edge_list().edge_ids());
+  ASSERT_EQ(dual_a.edge_list().node_ids(), dual_b.edge_list().node_ids());
+  ASSERT_EQ(weighted_triples(plain.weighted_linegraph_edges()),
+            weighted_triples(twin.weighted_linegraph_edges()));
 
   // BFS distances are level-synchronous, hence label-invariant; parents are
   // schedule-dependent, so check the structural contract instead.
@@ -76,6 +141,8 @@ void expect_query_equivalence(const NWHypergraph& plain, const NWHypergraph& twi
     auto b = twin.bfs(src);
     ASSERT_EQ(a.dist_edge, b.dist_edge) << "src " << src;
     ASSERT_EQ(a.dist_node, b.dist_node) << "src " << src;
+    ASSERT_EQ(adjoin_depths(plain.bfs_adjoin(src)), adjoin_depths(twin.bfs_adjoin(src)))
+        << "src " << src;
     if (ne != 0) {
       ASSERT_EQ(b.parents_edge[src], src);
     }
@@ -172,13 +239,27 @@ TEST(Relabel, TranslateAndReindexRoundTrip) {
   auto                     maps = degree_relabel_maps(degrees);
   std::vector<vertex_id_t> ids(degrees.size());
   std::iota(ids.begin(), ids.end(), 0);
-  translate_ids(ids, maps.perm);
-  translate_ids(ids, maps.inv);
+  maps.translate_ids(ids, relabel_maps::direction::to_storage);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(ids[i], maps.storage_id(static_cast<vertex_id_t>(i)));
+    ASSERT_EQ(maps.external_id(ids[i]), static_cast<vertex_id_t>(i));
+  }
+  maps.translate_ids(ids, relabel_maps::direction::to_external);
   for (std::size_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], static_cast<vertex_id_t>(i));
-  auto re = reindex_by_permutation(degrees, maps.perm);
-  for (std::size_t i = 0; i < degrees.size(); ++i) ASSERT_EQ(re[maps.perm[i]], degrees[i]);
-  // Descending by construction.
-  for (std::size_t i = 1; i < re.size(); ++i) ASSERT_GE(re[i - 1], re[i]);
+  // Out-of-range external ids pass through.
+  ASSERT_EQ(maps.storage_id(99), vertex_id_t{99});
+  // Storage-order degrees are descending by construction, and reordering
+  // them into external order gives the input back.
+  std::vector<std::size_t> by_row(degrees.size());
+  for (std::size_t i = 0; i < degrees.size(); ++i) {
+    by_row[maps.storage_id(static_cast<vertex_id_t>(i))] = degrees[i];
+  }
+  for (std::size_t i = 1; i < by_row.size(); ++i) ASSERT_GE(by_row[i - 1], by_row[i]);
+  ASSERT_EQ(maps.to_external_order(by_row), degrees);
+  // A persisted inverse rebuilds the same pair.
+  auto again = relabel_maps::from_inverse(maps.inv);
+  ASSERT_EQ(again.perm, maps.perm);
+  ASSERT_EQ(again.inv, maps.inv);
 }
 
 TEST(Relabel, FacadeInvisibilityAcrossSeedsAndThreads) {
@@ -211,6 +292,80 @@ TEST(Relabel, SnapshotRoundTripKeepsRelabelAndAnswers) {
     NWHypergraph loaded(load_csr_snapshot(f.path));
     ASSERT_TRUE(loaded.is_relabeled()) << "kind-13 inverse map not adopted";
     expect_query_equivalence(plain, loaded);
+  }
+}
+
+/// Write `el`'s hypergraph as a canonical snapshot whose storage rows are in
+/// reversed external order (inv[s] = n - 1 - s): a legal kind-13 map that
+/// no degree order produces, so duplicate rows and empty edges keep a
+/// storage order opposite to their external one.
+void save_reversed_snapshot(const biedgelist<>& el, const std::string& path) {
+  NWHypergraph      plain(el);
+  const std::size_t ne = plain.num_hyperedges();
+  biedgelist<>      stored(ne, plain.num_hypernodes());
+  for (vertex_id_t e = 0; e < ne; ++e) {
+    for (vertex_id_t v : plain.edge_members(e)) {
+      stored.push_back(static_cast<vertex_id_t>(ne - 1 - e), v);
+    }
+  }
+  stored.sort_and_unique();
+  std::vector<vertex_id_t> inv(ne);
+  for (std::size_t s = 0; s < ne; ++s) inv[s] = static_cast<vertex_id_t>(ne - 1 - s);
+  csr_write_options wopt;
+  wopt.relabel_inv = inv;
+  write_csr_snapshot(path, biadjacency<0>(stored), biadjacency<1>(stored), wopt);
+}
+
+TEST(Relabel, ReversedSnapshotMapPicksExternalRepresentatives) {
+  nwtest::concurrency_guard guard;
+  // Duplicate rows {0, 1}, {2, 3} and a lone {4}: reversed storage puts the
+  // larger external id of each duplicate pair first.
+  biedgelist<> dups;
+  for (auto [e, v] : std::vector<std::pair<vertex_id_t, vertex_id_t>>{
+           {0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 2}, {2, 3}, {3, 2}, {3, 3}, {4, 4}, {5, 2}}) {
+    dups.push_back(e, v);
+  }
+  // Only empty edges: the survivor must be external id 0, stored last.
+  biedgelist<> empties(5, 3);
+  for (const auto* el : {&dups, &empties}) {
+    NWHypergraph plain(*el);
+    scratch_file f("reversed");
+    save_reversed_snapshot(*el, f.path);
+    for (unsigned threads : nwtest::differential_thread_counts()) {
+      nw::par::thread_pool::set_default_concurrency(threads);
+      NWHypergraph loaded(load_csr_snapshot(f.path));
+      ASSERT_TRUE(loaded.is_relabeled());
+      ASSERT_EQ(plain.toplexes(), loaded.toplexes()) << "threads=" << threads;
+      auto cc_a = plain.connected_components();
+      auto cc_b = loaded.connected_components();
+      ASSERT_EQ(cc_a.labels_edge, cc_b.labels_edge) << "threads=" << threads;
+      ASSERT_EQ(cc_a.labels_node, cc_b.labels_node) << "threads=" << threads;
+      for (std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+        ASSERT_EQ(plain.s_connected_components_implicit(s),
+                  loaded.s_connected_components_implicit(s))
+            << "s=" << s << " threads=" << threads;
+      }
+    }
+  }
+  NWHypergraph plain_dups(dups);
+  ASSERT_EQ(plain_dups.toplexes(), (std::vector<vertex_id_t>{0, 2, 4}));
+  NWHypergraph plain_empties(empties);
+  ASSERT_EQ(plain_empties.toplexes(), (std::vector<vertex_id_t>{0}));
+}
+
+TEST(Relabel, ReversedSnapshotMapIsInvisibleAcrossSeedsAndThreads) {
+  nwtest::concurrency_guard guard;
+  for (auto seed : nwtest::differential_seeds(0x8E90)) {
+    NWHY_SEED_TRACE(seed);
+    auto         el = gen::arbitrary_hypergraph(seed);
+    scratch_file f("reversed_seed");
+    save_reversed_snapshot(el, f.path);
+    for (unsigned threads : nwtest::differential_thread_counts()) {
+      nw::par::thread_pool::set_default_concurrency(threads);
+      NWHypergraph loaded(load_csr_snapshot(f.path));
+      ASSERT_TRUE(loaded.is_relabeled());
+      expect_query_equivalence(NWHypergraph(el), loaded);
+    }
   }
 }
 

@@ -53,6 +53,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -150,30 +151,16 @@ int cmd_bfs_sharded(const std::string& path, vertex_id_t source) {
     std::fprintf(stderr, "error: source %u out of range (%zu hyperedges)\n", source, ne);
     return 1;
   }
-  auto        inv = snap.relabel_inv();
-  vertex_id_t src = source;
-  std::vector<vertex_id_t> perm;
-  if (!inv.empty()) {
-    perm.resize(inv.size());
-    for (std::size_t i = 0; i < inv.size(); ++i) perm[inv[i]] = static_cast<vertex_id_t>(i);
-    src = perm[source];
+  std::optional<relabel_maps> maps;
+  if (auto inv = snap.relabel_inv(); !inv.empty()) {
+    maps = relabel_maps::from_inverse(std::vector<vertex_id_t>(inv.begin(), inv.end()));
   }
   nw::timer t;
-  auto      r  = hyper_bfs_sharded(snap, src);
+  auto      r  = hyper_bfs_sharded(snap, maps ? maps->storage_id(source) : source);
   double    ms = t.elapsed_ms();
-  if (!perm.empty()) {
-    // Storage-row results -> external ids: gather distances through the
-    // permutation and re-express edge parents (node parents are node ids
-    // and need the inverse map applied to their stored values).
-    std::vector<vertex_id_t> de(r.dist_edge.size());
-    for (std::size_t e = 0; e < de.size(); ++e) de[e] = r.dist_edge[perm[e]];
-    r.dist_edge = std::move(de);
-    for (auto& p : r.parents_node) {
-      if (p != nw::null_vertex<>) p = inv[p];
-    }
-  }
+  if (maps) r = maps->to_external(std::move(r), source);
   std::printf("out-of-core (%zu shards%s)\n", snap.num_shards(),
-              inv.empty() ? "" : ", degree-relabeled");
+              maps ? ", degree-relabeled" : "");
   print_bfs_summary(r, source, ms, ne, nn);
   return 0;
 }
