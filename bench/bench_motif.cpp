@@ -1,6 +1,6 @@
 // bench/bench_motif.cpp — hypergraph triad/wedge census over the bipartite
-// form: one per-wedge parallel_for over the hypernode centers with per-thread
-// integer counters, swept over NWHY_BENCH_THREADS.
+// form: one parallel_for over hyperedges counting pair overlaps on the s-line
+// kernel, per-thread integer counters, swept over NWHY_BENCH_THREADS.
 //
 // Operations:
 //   motif-census  count_motifs over the compacted CSR pair (wedges, triads,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check_docs.sh — the doc-truth linter: docs/ and README.md may only
 # name things that exist in the tree, and production code may not call the
-# serial oracles.  Six checks:
+# serial oracles.  Seven checks:
 #
 #   1. env knobs, both directions.  Every `NWHY_*` token in the docs must be
 #      read somewhere (a quoted "NWHY_*" string in src/tools/bench/tests/
@@ -37,6 +37,11 @@
 #      relabel headers, src/nwhy/relabel.hpp (whose `relabel_maps` owns
 #      every storage <-> external id translation) and src/nwgraph/relabel.hpp.
 #      Comment-only lines are skipped.
+#   7. one overlap count (full run only).  No file under src/nwhy/ may call
+#      `.increment(` (the counting_hashmap update) outside the body of
+#      detail::count_overlaps in src/nwhy/slinegraph/construction.hpp, the
+#      one kernel every hyperedge-overlap count goes through.  Comment-only
+#      lines are skipped.
 #
 # Usage:
 #   scripts/check_docs.sh                 lint docs/*.md + README.md (both
@@ -47,8 +52,10 @@
 #                                         citing a nonexistent knob, a
 #                                         synthetic source tree calling an
 #                                         oracle, one reading a knob its
-#                                         profiles omit, and one indexing a
-#                                         relabel map by hand, must all be
+#                                         profiles omit, one indexing a
+#                                         relabel map by hand, and one
+#                                         counting overlaps outside
+#                                         count_overlaps, must all be
 #                                         rejected, and each rejection must
 #                                         name the culprit
 #
@@ -103,6 +110,30 @@ relabel_lint() {
   [[ -z "$hits" ]] && return 0
   while IFS= read -r line; do
     echo "check_docs.sh: relabel map indexed outside relabel_maps (src/nwhy/relabel.hpp): $line" >&2
+  done <<<"$hits"
+  return 1
+}
+
+# Check 7 on the tree rooted at $1: prints every `.increment(` line under
+# src/nwhy/ outside the body of count_overlaps (the function defined at
+# column 0 in src/nwhy/slinegraph/construction.hpp, up to its closing brace
+# at column 0), and fails if there is one.
+increment_lint() {
+  local root=${1%/} files hits
+  files=$(grep -rlE --include='*.hpp' --include='*.cpp' --include='*.h' --include='*.c' \
+    '\.increment\(' "$root/src/nwhy" 2>/dev/null || true)
+  [[ -z "$files" ]] && return 0
+  # shellcheck disable=SC2086  # one file name per word
+  hits=$(awk '
+    FNR == 1 { inside = 0 }
+    /^[[:space:]]*\/\// { next }
+    FILENAME ~ /\/slinegraph\/construction\.hpp$/ && /^[^[:space:]].*[[:space:]]count_overlaps\(/ { inside = 1 }
+    inside && /^}/ { inside = 0 }
+    /\.increment\(/ && !inside { print FILENAME ":" FNR ":" $0 }
+  ' $files)
+  [[ -z "$hits" ]] && return 0
+  while IFS= read -r line; do
+    echo "check_docs.sh: overlap counted outside detail::count_overlaps (src/nwhy/slinegraph/construction.hpp): $line" >&2
   done <<<"$hits"
   return 1
 }
@@ -207,7 +238,55 @@ if [[ "${1:-}" == "--self-test" ]]; then
     fi
     rm "$TMP/src/nwhy/algorithms/$name"
   done
-  echo "check_docs.sh: self-test OK (nonexistent knob, production oracle use, unrecorded profile knob and hand-written relabel translation rejected)"
+  # An overlap map incremented outside count_overlaps must be rejected by
+  # name; the kernel itself, comments and trees outside src/nwhy/ must not.
+  mkdir -p "$TMP/src/nwhy/slinegraph"
+  cat >"$TMP/src/nwhy/slinegraph/construction.hpp" <<'KERNEL'
+template <class Row, class NGraph, class Keep>
+std::size_t count_overlaps(Row&& row, const NGraph& nodes, Keep keep, map& overlap) {
+  for (auto v : row) {
+    for (auto e : nodes[v]) {
+      if (keep(e)) overlap.increment(e);
+    }
+  }
+  return 0;
+}
+KERNEL
+  printf '// overlap.increment(ej) is count_overlaps'"'"'s job\n' >"$TMP/src/nwhy/algorithms/clean2.hpp"
+  printf 'inline void spgemm(acc& a) { a.increment(1, 2.0); }\n' >"$TMP/src/nwgraph/csr.hpp"
+  if ! increment_lint "$TMP" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — a tree counting only in count_overlaps was rejected" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  cases=(
+    'bad_loop.hpp|      if (ej > ei && deg[ej] >= s) overlap.increment(ej);'
+    'bad_census.hpp|  for (auto f : nodes[v]) maps.local(tid).increment(f);'
+  )
+  for c in "${cases[@]}"; do
+    name=${c%%|*}
+    printf '%s\n' "${c#*|}" >"$TMP/src/nwhy/algorithms/$name"
+    if increment_lint "$TMP" >"$TMP/out" 2>&1; then
+      echo "check_docs.sh: self-test FAILED — $name passed the overlap lint" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    if ! grep -q "$name" "$TMP/out"; then
+      echo "check_docs.sh: self-test FAILED — rejection did not name $name" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    rm "$TMP/src/nwhy/algorithms/$name"
+  done
+  # A second loop in construction.hpp itself, after the kernel, is a copy too.
+  printf 'inline void twin(map& m) {\n  m.increment(3);\n}\n' \
+    >>"$TMP/src/nwhy/slinegraph/construction.hpp"
+  if increment_lint "$TMP" >"$TMP/out" 2>&1 || ! grep -q "construction.hpp:11:" "$TMP/out"; then
+    echo "check_docs.sh: self-test FAILED — a second counting loop in construction.hpp was not named" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  echo "check_docs.sh: self-test OK (nonexistent knob, production oracle use, unrecorded profile knob, hand-written relabel translation and overlap count outside count_overlaps rejected)"
   exit 0
 fi
 
@@ -323,6 +402,12 @@ fi
 
 if [[ "$FULL" == 1 ]]; then
   relabel_lint . || FAIL=1
+fi
+
+# --- check 7: one overlap count ---------------------------------------------
+
+if [[ "$FULL" == 1 ]]; then
+  increment_lint . || FAIL=1
 fi
 
 if [[ "$FAIL" != 0 ]]; then

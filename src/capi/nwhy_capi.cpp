@@ -114,6 +114,7 @@ size_t nwhy_edge_members(const nwhy_hypergraph* hg, uint32_t edge, uint32_t* out
 }
 
 nwhy_slinegraph* nwhy_s_linegraph(const nwhy_hypergraph* hg, size_t s, int edges) {
+  if (hg == nullptr || s == 0) return nullptr;
   return new nwhy_slinegraph{hg->impl.make_s_linegraph(s, edges != 0),
                              hg->impl.version_token(), hg->impl.version()};
 }

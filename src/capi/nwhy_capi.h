@@ -92,6 +92,9 @@ size_t nwhy_edge_members(const nwhy_hypergraph* hg, uint32_t edge, uint32_t* out
 
 /* --- s-line graph (Listing 5: hg.s_linegraph(s, edges)) ------------------- */
 
+/* The s-line graph (edges != 0) or s-clique graph (edges == 0) of `hg`.
+ * Returns NULL when hg is NULL or s == 0 (s counts shared members, so it
+ * starts at 1). */
 nwhy_slinegraph* nwhy_s_linegraph(const nwhy_hypergraph* hg, size_t s, int edges);
 void             nwhy_slinegraph_destroy(nwhy_slinegraph* lg);
 

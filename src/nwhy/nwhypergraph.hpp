@@ -351,8 +351,10 @@ public:
   /// Listing 5 `s_linegraph(s, edges)`: the s-line graph over hyperedges
   /// (edges == true) or the s-clique graph over hypernodes (edges == false),
   /// through the direct per-thread-buffers -> CSR materialization pipeline
-  /// (on the composed generation while a delta is pending).
+  /// (on the composed generation while a delta is pending).  Every s entry
+  /// point throws std::invalid_argument on s == 0.
   [[nodiscard]] s_linegraph make_s_linegraph(std::size_t s, bool edges = true) const {
+    require_positive_s(s, "make_s_linegraph");
     const auto& g = live();
     if (edges) {
       // A relabeled hypergraph counts overlaps over its internal
@@ -375,6 +377,7 @@ public:
   /// the line graph (implicit traversal — see slinegraph/implicit.hpp for
   /// the memory/work tradeoff).
   [[nodiscard]] std::vector<vertex_id_t> s_connected_components_implicit(std::size_t s) const {
+    require_positive_s(s, "s_connected_components_implicit");
     const auto& g = live();
     auto        r = nw::hypergraph::s_connected_components_implicit(
         g.hyperedges, g.hypernodes, relabel_ ? internal_edge_degrees_ : edge_degrees_, s);
@@ -383,6 +386,7 @@ public:
   }
   [[nodiscard]] std::optional<std::size_t> s_distance_implicit(std::size_t s, vertex_id_t src,
                                                                vertex_id_t dst) const {
+    require_positive_s(s, "s_distance_implicit");
     const auto& g = live();
     // Hop counts are label-invariant; only the endpoints translate in.
     return nw::hypergraph::s_distance_implicit(
@@ -392,15 +396,15 @@ public:
 
   /// Weighted 1-line edge list: every s-adjacent pair with its exact
   /// overlap |e_i ∩ e_j|; threshold_weighted() slices it into any L_s(H).
+  /// A relabeled hypergraph counts over its storage rows and names each
+  /// pair by its external {min, max} ids; the emission order may differ.
   [[nodiscard]] nw::graph::edge_list<std::uint32_t> weighted_linegraph_edges(
       std::size_t s = 1) const {
-    if (relabel_) {
-      // Rare path: rebuild an external-order copy so the emission order
-      // matches the unrelabeled run exactly.
-      return NWHypergraph(edge_list_in(nullptr)).weighted_linegraph_edges(s);
-    }
+    require_positive_s(s, "weighted_linegraph_edges");
     const auto& g = live();
-    return to_two_graph_weighted(g.hyperedges, g.hypernodes, edge_degrees_, s);
+    return to_two_graph_weighted(g.hyperedges, g.hypernodes,
+                                 relabel_ ? internal_edge_degrees_ : edge_degrees_, s,
+                                 par::blocked{}, relabel_inverse());
   }
 
   /// Clique-expansion graph (Sec. III-B.3): graph over hypernodes replacing
@@ -580,6 +584,10 @@ private:
       }
     }
     write_csr_snapshot(path, gen_->hyperedges, gen_->hypernodes, wopt);
+  }
+
+  static void require_positive_s(std::size_t s, const char* what) {
+    if (s == 0) throw std::invalid_argument(std::string(what) + ": s must be >= 1");
   }
 
   void require_compacted(const char* what) const {

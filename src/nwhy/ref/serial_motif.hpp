@@ -1,12 +1,13 @@
 // nwhy/ref/serial_motif.hpp
 //
 // Serial reference wedge/triad/butterfly census — the ground truth of the
-// per-wedge parallel engine (nwhy/algorithms/motif.hpp).  Everything comes
-// from the definitions on the plain incidence structure: wedges and triads
-// from the center-major triple loop, butterflies from the *pair-major*
-// formula Σ_{e<f} C(|e ∩ f|, 2) — deliberately a different decomposition
-// than the engine's per-wedge excess sum, so the two sides cross-check the
-// combinatorics, not just the loop transcription.
+// parallel engine (nwhy/algorithms/motif.hpp), which derives all three from
+// hashmap-counted pair overlaps.  Everything here comes from the
+// definitions on the plain incidence structure: wedges and triads from the
+// center-major triple loop — deliberately a different decomposition than
+// the engine's pair-major sums, so the two sides cross-check the
+// combinatorics, not just the loop transcription — and butterflies from
+// Σ_{e<f} C(|e ∩ f|, 2) over every pair, with sorted-merge overlaps.
 #pragma once
 
 #include <cstdint>

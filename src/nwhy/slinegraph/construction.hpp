@@ -34,6 +34,13 @@
 // rely on it); biadjacency built from a sort_and_unique'd biedgelist
 // satisfies this.
 //
+// One overlap count: every hashmap algorithm here (hashmap, its CSR and
+// cyclic spellings, Algorithm 1, the ensemble, the neighbor-range variant),
+// the weighted build, the implicit s-rows, the incremental recount and the
+// motif census count |e_i ∩ e_j| with detail::count_overlaps; the parallel
+// ones run it through detail::overlap_pass, which emits each pair with
+// overlap >= s to a caller-supplied functor.
+//
 // Materialization pipeline (this header's tail): every algorithm fills
 // per-thread pair buffers, which are drained by one of two parallel bulk
 // paths — edge_list::from_thread_buffers (size scan + parallel SoA
@@ -246,65 +253,84 @@ nw::graph::edge_list<> to_two_graph_intersection(const EGraph& edges, const NGra
 
 namespace detail {
 
-/// Shared kernel of the hashmap-counting algorithms: process one hyperedge
-/// `ei`, counting overlaps with every larger-id hyperedge reachable through
-/// a shared hypernode, then emit pairs whose count reaches s.  A non-empty
-/// `id_map` (row id -> output id) renames both endpoints of each pair this
-/// call appended.
-template <class EGraph, class NGraph>
-void hashmap_process_edge(const EGraph& edges, const NGraph& nodes,
-                          const std::vector<std::size_t>& edge_degrees, std::size_t s,
-                          vertex_id_t ei, counting_hashmap<>& overlap,
-                          std::vector<std::pair<vertex_id_t, vertex_id_t>>& out,
-                          std::span<const vertex_id_t> id_map = {}) {
-  if (edge_degrees[ei] < s) return;
+/// The overlap count every hashmap algorithm rests on: walk `row`'s members
+/// through the transpose `nodes` and count, for each hyperedge ej with
+/// keep(ej), how many members it shares with `row` — afterwards `overlap`
+/// maps ej to |row ∩ ej|.  Returns the number of increments (the hashmap
+/// probes).  The only code that increments an overlap map.
+template <class Row, class NGraph, class Keep>
+std::size_t count_overlaps(Row&& row, const NGraph& nodes, Keep keep,
+                           counting_hashmap<>& overlap) {
   overlap.clear();
   std::size_t probes = 0;
-  for (auto&& ev : edges[ei]) {
-    vertex_id_t v = target(ev);
-    for (auto&& ve : nodes[v]) {
-      vertex_id_t ej = target(ve);
-      if (ej > ei && edge_degrees[ej] >= s) {
+  for (auto&& ev : row) {
+    for (auto&& ve : nodes[target(ev)]) {
+      const vertex_id_t ej = target(ve);
+      if (keep(ej)) {
         overlap.increment(ej);
         ++probes;
       }
     }
   }
-  std::size_t emitted = 0;
-  overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-    if (n >= s) {
-      out.push_back({ei, ej});
-      ++emitted;
-    }
-  });
-  if (!id_map.empty()) {
-    for (auto& [a, b] : std::span(out).last(emitted)) {
-      a = id_map[a];
-      b = id_map[b];
-    }
-  }
-  NWOBS_COUNT("slinegraph.hashmap_probes", probes);
-  NWOBS_COUNT("slinegraph.candidate_pairs", overlap.size());
-  NWOBS_COUNT("slinegraph.pairs_emitted", emitted);
+  return probes;
+}
+
+/// The parallel pass of the hashmap algorithms: for each k in [0, n), row
+/// ei = id_of(k) (skipped when deg[ei] < s) counts its overlaps with every
+/// larger-id hyperedge of degree >= s, and `emit(tid, ei, ej, c)` receives
+/// each pair with c >= s.  Counts `slinegraph.hashmap_probes`,
+/// `slinegraph.candidate_pairs` and `slinegraph.pairs_emitted`.
+template <class EGraph, class NGraph, class IdOf, class Partition, class Emit>
+void overlap_pass(const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& deg,
+                  std::size_t s, std::size_t n, IdOf id_of, Partition part, Emit emit) {
+  par::per_thread<counting_hashmap<>> maps;
+  par::parallel_for(
+      0, n,
+      [&](unsigned tid, std::size_t k) {
+        const vertex_id_t ei = id_of(k);
+        if (deg[ei] < s) return;
+        auto&             overlap = maps.local(tid);
+        [[maybe_unused]] const std::size_t probes = count_overlaps(
+            edges[ei], nodes,
+            [ei, d = deg.data(), s](vertex_id_t ej) { return ej > ei && d[ej] >= s; }, overlap);
+        std::size_t emitted = 0;
+        overlap.for_each([&](vertex_id_t ej, std::uint32_t c) {
+          if (c >= s) {
+            emit(tid, ei, ej, c);
+            ++emitted;
+          }
+        });
+        NWOBS_COUNT("slinegraph.hashmap_probes", probes);
+        NWOBS_COUNT("slinegraph.candidate_pairs", overlap.size());
+        NWOBS_COUNT("slinegraph.pairs_emitted", emitted);
+      },
+      part);
+}
+
+/// The id_of of a pass over every row [0, n).
+inline constexpr auto row_id = [](std::size_t k) { return static_cast<vertex_id_t>(k); };
+
+/// Row ids -> output ids through `id_map` (empty = identity), as a
+/// {min, max} pair.
+inline pair_t renamed_pair(std::span<const vertex_id_t> id_map, vertex_id_t a, vertex_id_t b) {
+  if (id_map.empty()) return {a, b};
+  a = id_map[a];
+  b = id_map[b];
+  return a < b ? pair_t{a, b} : pair_t{b, a};
 }
 
 /// Counting phase of the hashmap algorithm: fills (and returns) the
-/// process-wide per-thread pair buffers.  Shared by the edge-list and
-/// direct-CSR entry points.
+/// process-wide per-thread pair buffers, renaming endpoints through
+/// `id_map`.  Shared by the edge-list and direct-CSR entry points.
 template <class EGraph, class NGraph, class Partition>
 par::per_thread<std::vector<pair_t>>& hashmap_collect(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
     std::size_t s, Partition part, std::span<const vertex_id_t> id_map = {}) {
-  const std::size_t ne  = edges.size();
-  auto&             out = pair_buffers(0);
-  par::per_thread<counting_hashmap<>> maps;
-  par::parallel_for(
-      0, ne,
-      [&](unsigned tid, std::size_t i) {
-        hashmap_process_edge(edges, nodes, edge_degrees, s, static_cast<vertex_id_t>(i),
-                             maps.local(tid), out.local(tid), id_map);
-      },
-      part);
+  auto& out = pair_buffers(0);
+  overlap_pass(edges, nodes, edge_degrees, s, edges.size(), row_id, part,
+               [&out, id_map](unsigned tid, vertex_id_t ei, vertex_id_t ej, std::uint32_t) {
+                 out.local(tid).push_back(renamed_pair(id_map, ei, ej));
+               });
   return out;
 }
 
@@ -352,14 +378,11 @@ nw::graph::edge_list<> to_two_graph_queue_hashmap(std::span<const vertex_id_t> q
   NWOBS_SCOPE_TIMER("slinegraph.queue_hashmap");
   NWOBS_GAUGE_MAX("slinegraph.alg1_queue_occupancy", queue.size());
   auto& out = detail::pair_buffers(0);
-  par::per_thread<counting_hashmap<>> maps;
-  par::parallel_for(
-      0, queue.size(),
-      [&](unsigned tid, std::size_t qi) {
-        detail::hashmap_process_edge(edges, nodes, edge_degrees, s, queue[qi],
-                                     maps.local(tid), out.local(tid));
-      },
-      part);
+  detail::overlap_pass(edges, nodes, edge_degrees, s, queue.size(),
+                       [queue](std::size_t k) { return queue[k]; }, part,
+                       [&](unsigned tid, vertex_id_t ei, vertex_id_t ej, std::uint32_t) {
+                         out.local(tid).push_back({ei, ej});
+                       });
   return detail::materialize_edge_list(out, id_bound);
 }
 
@@ -421,36 +444,19 @@ std::vector<nw::graph::edge_list<>> to_two_graph_ensemble(
   for (auto s : s_values) s_min = std::min(s_min, s);
   const std::size_t k = s_values.size();
 
-  using pair_t = std::pair<vertex_id_t, vertex_id_t>;
+  using detail::pair_t;
   par::per_thread<std::vector<std::vector<pair_t>>> out;
   out.for_each([&](std::vector<std::vector<pair_t>>& v) { v.resize(k); });
-  par::per_thread<counting_hashmap<>> maps;
-
-  par::parallel_for(
-      0, ne,
-      [&](unsigned tid, std::size_t i) {
-        vertex_id_t ei = static_cast<vertex_id_t>(i);
-        if (edge_degrees[ei] < s_min) return;
-        auto& overlap = maps.local(tid);
-        overlap.clear();
-        for (auto&& ev : edges[ei]) {
-          vertex_id_t v = target(ev);
-          for (auto&& ve : nodes[v]) {
-            vertex_id_t ej = target(ve);
-            if (ej > ei && edge_degrees[ej] >= s_min) overlap.increment(ej);
-          }
-        }
-        auto& locals = out.local(tid);
-        overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-          for (std::size_t si = 0; si < k; ++si) {
-            if (n >= s_values[si] && edge_degrees[ei] >= s_values[si] &&
-                edge_degrees[ej] >= s_values[si]) {
-              locals[si].push_back({ei, ej});
-            }
-          }
-        });
-      },
-      part);
+  // One pass at s_min; a pair of overlap c belongs to every L_s with s <= c
+  // (c >= s already implies both degrees reach s).
+  detail::overlap_pass(edges, nodes, edge_degrees, s_min, ne, detail::row_id, part,
+                       [&out, sv = s_values.data(), k](unsigned tid, vertex_id_t ei,
+                                                        vertex_id_t ej, std::uint32_t c) {
+                         auto& locals = out.local(tid);
+                         for (std::size_t si = 0; si < k; ++si) {
+                           if (c >= sv[si]) locals[si].push_back({ei, ej});
+                         }
+                       });
 
   // Materialize each requested s by buffer-granular bulk appends (each
   // append_bulk is itself a parallel SoA scatter — no per-element loop).
@@ -484,18 +490,15 @@ nw::graph::edge_list<> to_two_graph_neighbor_range(const EGraph& edges, const NG
   par::per_thread<counting_hashmap<>> maps;
   par::for_each_cyclic_neighborhood(
       edges, num_bins, [&](unsigned tid, std::size_t i, auto&& neighborhood) {
-        vertex_id_t ei = static_cast<vertex_id_t>(i);
+        const vertex_id_t ei = static_cast<vertex_id_t>(i);
         if (edge_degrees[ei] < s) return;
         auto& overlap = maps.local(tid);
-        overlap.clear();
-        for (auto&& ev : neighborhood) {
-          for (auto&& ve : nodes[target(ev)]) {
-            vertex_id_t ej = target(ve);
-            if (ej > ei && edge_degrees[ej] >= s) overlap.increment(ej);
-          }
-        }
-        overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-          if (n >= s) out.local(tid).push_back({ei, ej});
+        detail::count_overlaps(
+            neighborhood, nodes,
+            [ei, d = edge_degrees.data(), s](vertex_id_t ej) { return ej > ei && d[ej] >= s; },
+            overlap);
+        overlap.for_each([&](vertex_id_t ej, std::uint32_t c) {
+          if (c >= s) out.local(tid).push_back({ei, ej});
         });
       });
   return detail::materialize_edge_list(out, ne);

@@ -33,20 +33,18 @@ namespace nw::hypergraph {
 
 namespace detail {
 
-/// Visit every s-neighbor of `ei` (all ej != ei with |ei ∩ ej| >= s).
+/// Visit every s-neighbor of `ei` (all ej != ei with |ei ∩ ej| >= s),
+/// counted by the construction kernel detail::count_overlaps.
 template <class EGraph, class NGraph, class Fn>
 void for_each_s_neighbor(const EGraph& edges, const NGraph& nodes,
                          const std::vector<std::size_t>& edge_degrees, std::size_t s,
                          vertex_id_t ei, counting_hashmap<>& overlap, Fn&& fn) {
-  overlap.clear();
-  for (auto&& ev : edges[ei]) {
-    for (auto&& ve : nodes[target(ev)]) {
-      vertex_id_t ej = target(ve);
-      if (ej != ei && edge_degrees[ej] >= s) overlap.increment(ej);
-    }
-  }
-  overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-    if (n >= s) fn(ej);
+  count_overlaps(
+      edges[ei], nodes,
+      [ei, d = edge_degrees.data(), s](vertex_id_t ej) { return ej != ei && d[ej] >= s; },
+      overlap);
+  overlap.for_each([&](vertex_id_t ej, std::uint32_t c) {
+    if (c >= s) fn(ej);
   });
 }
 

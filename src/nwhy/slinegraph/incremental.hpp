@@ -13,8 +13,9 @@
 //     (`make_s_linegraph`).  When hyperedge e's member list changes, only
 //     line-graph pairs incident on e can appear or disappear (a pair {f, g}
 //     with e ∉ {f, g} has an unchanged overlap), so the update drops e's
-//     pairs and recounts overlaps against e alone.  s-connectivity is kept
-//     as a union-find: insertions union eagerly; a deletion invalidates the
+//     pairs and recounts overlaps against e alone with the construction
+//     kernel (detail::count_overlaps).  s-connectivity is kept as a
+//     union-find: insertions union eagerly; a deletion invalidates the
 //     forest and the next component query rebuilds it from the maintained
 //     adjacency (deletions can split components, which union-find cannot
 //     express).
@@ -40,6 +41,7 @@
 #include "nwgraph/algorithms/bfs.hpp"
 #include "nwhy/algorithms/toplex.hpp"
 #include "nwhy/nwhypergraph.hpp"
+#include "nwhy/slinegraph/construction.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/flat_hashmap.hpp"
 
@@ -146,11 +148,9 @@ public:
     // Recount overlaps against e alone — the only dirty endpoint.
     if (active(e)) {
       counting_hashmap<> overlap;
-      for (vertex_id_t v : inc_.edges()[e]) {
-        for (vertex_id_t f : inc_.nodes()[v]) {
-          if (f != e && active(f)) overlap.increment(f);
-        }
-      }
+      detail::count_overlaps(
+          inc_.edges()[e], inc_.nodes(),
+          [this, e](vertex_id_t f) { return f != e && active(f); }, overlap);
       std::vector<vertex_id_t> nbrs;
       overlap.for_each([&](vertex_id_t f, std::uint32_t n) {
         if (n >= s_) nbrs.push_back(f);

@@ -1,14 +1,16 @@
 // nwhy/slinegraph/weighted.hpp
 //
-// Weighted s-line graph construction: like the hashmap algorithm, but each
-// surviving line-graph edge carries its exact overlap size |e_i ∩ e_j|.
-// The overlap is the "strength of the connection" the paper's Fig. 5
-// renders as edge width; keeping it enables weighted s-walk analytics
-// (weighted s-distance via SSSP) and thresholding a single weighted 1-line
-// graph into every s-line graph without reconstruction.
+// Weighted s-line graph construction: the hashmap algorithm's overlap pass
+// (detail::overlap_pass), with each surviving line-graph edge carrying its
+// exact overlap size |e_i ∩ e_j|.  The overlap is the "strength of the
+// connection" the paper's Fig. 5 renders as edge width; keeping it enables
+// weighted s-walk analytics (weighted s-distance via SSSP) and thresholding
+// a single weighted 1-line graph into every s-line graph without
+// reconstruction.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nwgraph/adjacency.hpp"
@@ -16,44 +18,31 @@
 #include "nwgraph/edge_list.hpp"
 #include "nwhy/slinegraph/construction.hpp"
 #include "nwpar/parallel_for.hpp"
-#include "nwutil/flat_hashmap.hpp"
 
 namespace nw::hypergraph {
 
 /// Edge list of {e_i, e_j, |e_i ∩ e_j|} for all pairs with overlap >= s.
+/// A non-empty `id_map` (row id -> output id) renames both endpoints, each
+/// pair kept as {min, max}.
 template <class EGraph, class NGraph, class Partition = par::blocked>
 nw::graph::edge_list<std::uint32_t> to_two_graph_weighted(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
-    std::size_t s, Partition part = {}) {
+    std::size_t s, Partition part = {}, std::span<const vertex_id_t> id_map = {}) {
   NWOBS_SCOPE_TIMER("slinegraph.weighted");
-  const std::size_t ne = edges.size();
   // entry == edge_list<uint32_t>::value_type: (e_i, e_j, |e_i ∩ e_j|).
   using entry = nw::graph::edge_list<std::uint32_t>::value_type;
-  par::per_thread<std::vector<entry>>  out;
-  par::per_thread<counting_hashmap<>>  maps;
-  par::parallel_for(
-      0, ne,
-      [&](unsigned tid, std::size_t i) {
-        vertex_id_t ei = static_cast<vertex_id_t>(i);
-        if (edge_degrees[ei] < s) return;
-        auto& overlap = maps.local(tid);
-        overlap.clear();
-        for (auto&& ev : edges[i]) {
-          for (auto&& ve : nodes[target(ev)]) {
-            vertex_id_t ej = target(ve);
-            if (ej > ei && edge_degrees[ej] >= s) overlap.increment(ej);
-          }
-        }
-        overlap.for_each([&](vertex_id_t ej, std::uint32_t n) {
-          if (n >= s) out.local(tid).push_back({ei, ej, n});
-        });
-      },
-      part);
+  par::per_thread<std::vector<entry>> out;
+  detail::overlap_pass(edges, nodes, edge_degrees, s, edges.size(), detail::row_id, part,
+                       [&out, id_map](unsigned tid, vertex_id_t ei, vertex_id_t ej,
+                                      std::uint32_t c) {
+                         const auto [a, b] = detail::renamed_pair(id_map, ei, ej);
+                         out.local(tid).push_back({a, b, c});
+                       });
   // Bulk SoA materialization (parallel scan + scatter; the weight column
   // rides along with the endpoints).
   {
     NWOBS_SCOPE_TIMER("slinegraph.merge");
-    return nw::graph::edge_list<std::uint32_t>::from_thread_buffers(out, ne);
+    return nw::graph::edge_list<std::uint32_t>::from_thread_buffers(out, edges.size());
   }
 }
 

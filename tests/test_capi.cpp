@@ -148,6 +148,10 @@ TEST(CApi, NullInputsRejected) {
   hg_ptr hg{nwhy_hypergraph_create(nullptr, nullptr, nullptr, 0)};
   ASSERT_NE(hg.p, nullptr);
   EXPECT_EQ(nwhy_num_hyperedges(hg.p), 0u);
+  // No line graph of a missing hypergraph, and none for s = 0.
+  EXPECT_EQ(nwhy_s_linegraph(nullptr, 1, 1), nullptr);
+  EXPECT_EQ(nwhy_s_linegraph(hg.p, 0, 1), nullptr);
+  EXPECT_EQ(nwhy_s_linegraph(hg.p, 0, 0), nullptr);
 }
 
 TEST(CApi, DualDirectionSCliqueGraph) {

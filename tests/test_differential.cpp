@@ -15,9 +15,11 @@
 // check.sh --differential and scripts/sanitize.sh tsan use smaller budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -209,6 +211,19 @@ TEST(Differential, SLineConstructionAlgorithmsMatchSerialOracle) {
                       threshold_weighted(to_two_graph_weighted(E, N, deg, 1), s)),
                   expected)
             << "weighted + threshold";
+
+        // Every weighted triple carries the oracle's overlap, at this s.
+        std::vector<std::tuple<vertex_id_t, vertex_id_t, std::size_t>> want_w, got_w;
+        for (auto [a, b] : expected) {
+          want_w.emplace_back(a, b, ref::overlap_size(inc.edges[a], inc.edges[b]));
+        }
+        const auto weighted = to_two_graph_weighted(E, N, deg, s);
+        for (std::size_t k = 0; k < weighted.size(); ++k) {
+          auto [a, b, w] = weighted[k];
+          got_w.emplace_back(std::min(a, b), std::max(a, b), w);
+        }
+        std::sort(got_w.begin(), got_w.end());
+        EXPECT_EQ(got_w, want_w) << "weighted (i, j, |e_i ∩ e_j|) triples";
       }
     }
   }

@@ -5,6 +5,7 @@
 
 #include "nwhy/nwhypergraph.hpp"
 #include "nwhy/gen/generators.hpp"
+#include "nwhy/slinegraph/incremental.hpp"
 #include "test_util.hpp"
 
 using namespace nw::hypergraph;
@@ -74,6 +75,18 @@ TEST(NWHypergraph, SLineGraphCardinalityMatchesHyperedges) {
     EXPECT_EQ(lg.num_vertices(), hg.num_hyperedges());
     EXPECT_EQ(lg.s(), s);
   }
+}
+
+TEST(NWHypergraph, SEntryPointsRejectZero) {
+  // s counts shared members; s = 0 has no line graph to build.
+  NWHypergraph hg(nwtest::figure1_hypergraph());
+  EXPECT_THROW((void)hg.make_s_linegraph(0), std::invalid_argument);
+  EXPECT_THROW((void)hg.make_s_linegraph(0, /*edges=*/false), std::invalid_argument);
+  EXPECT_THROW((void)hg.s_connected_components_implicit(0), std::invalid_argument);
+  EXPECT_THROW((void)hg.s_distance_implicit(0, 0, 1), std::invalid_argument);
+  EXPECT_THROW((void)hg.weighted_linegraph_edges(0), std::invalid_argument);
+  EXPECT_THROW(incremental_slinegraph(hg, 0), std::invalid_argument);
+  EXPECT_NO_THROW((void)hg.make_s_linegraph(1));
 }
 
 TEST(NWHypergraph, EndToEndWorkflow) {

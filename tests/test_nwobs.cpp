@@ -432,13 +432,10 @@ TEST_F(NwobsTest, MotifEmitsWedgeCounters) {
   auto hg = figure1();
   (void)hg.motifs();
   auto counters = registry::get().counters_snapshot();
-  ASSERT_TRUE(counters.contains("motif.centers"));
   ASSERT_TRUE(counters.contains("motif.wedges_scanned"));
-  ASSERT_TRUE(counters.contains("motif.intersection_steps"));
-  // Fig. 1: nodes 1, 2, 4, 6 each center exactly one wedge.
-  EXPECT_EQ(counters.at("motif.centers"), 4u);
+  // Fig. 1: nodes 1, 2, 4, 6 each center exactly one wedge, and each wedge
+  // is one overlap-map probe.
   EXPECT_EQ(counters.at("motif.wedges_scanned"), 4u);
-  EXPECT_GT(counters.at("motif.intersection_steps"), 0u);
   EXPECT_TRUE(registry::get().timers_snapshot().contains("motif"));
 }
 

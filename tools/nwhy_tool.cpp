@@ -42,7 +42,8 @@
 //
 // Malformed input never aborts: every reader throws nw::hypergraph::io_error
 // with file/line/byte context, which main() turns into an `error:` line on
-// stderr and a nonzero exit.
+// stderr and a nonzero exit.  Positional integers are decimal digits only;
+// s must be >= 1.  Anything else is an `error:` line and exit 2.
 //
 // Any command accepts `--profile out.json` anywhere on the line: after the
 // command finishes, the observability registry (counters, phase timers,
@@ -50,11 +51,13 @@
 // Setting NWHY_OBS=0 in the environment suppresses the dump.
 //
 // Thread count: NWHY_NUM_THREADS (default: hardware concurrency).
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,6 +71,20 @@ namespace {
 bool has_suffix(const std::string& path, const char* suffix) {
   std::size_t n = std::strlen(suffix);
   return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
+}
+
+/// A positional decimal integer of type T, at least `min`: digits only (no
+/// sign, no spaces), no overflow.  Throws std::invalid_argument naming `what`.
+template <class T>
+T parse_number(const char* text, const char* what, T min = 0) {
+  T           value{};
+  const char* end = text + std::strlen(text);
+  auto [stop, ec] = std::from_chars(text, end, value);
+  if (text == end || ec != std::errc{} || stop != end || value < min) {
+    throw std::invalid_argument(std::string(what) + " must be an integer >= " +
+                                std::to_string(min) + ", got '" + text + "'");
+  }
+  return value;
 }
 
 biedgelist<> load(const std::string& path) {
@@ -650,6 +667,7 @@ int main(int argc, char** argv) {
   auto arg = [&](std::size_t i) -> const char* {
     return args.size() > i ? args[i].c_str() : nullptr;
   };
+  auto s_arg = [&](std::size_t i) { return parse_number<std::size_t>(arg(i), "s", 1); };
 
   int rc = 2;
   try {
@@ -658,16 +676,16 @@ int main(int argc, char** argv) {
   } else if (cmd == "components") {
     rc = cmd_components(path);
   } else if (cmd == "bfs" && args.size() >= 3) {
-    rc = cmd_bfs(path, static_cast<vertex_id_t>(std::atol(arg(2))), sharded);
+    rc = cmd_bfs(path, parse_number<vertex_id_t>(arg(2), "edge-id"), sharded);
   } else if (cmd == "slinegraph" && args.size() >= 3) {
-    rc = cmd_slinegraph(path, static_cast<std::size_t>(std::atol(arg(2))), arg(3));
+    rc = cmd_slinegraph(path, s_arg(2), arg(3));
   } else if (cmd == "smetrics" && args.size() >= 3) {
-    rc = cmd_smetrics(path, static_cast<std::size_t>(std::atol(arg(2))));
+    rc = cmd_smetrics(path, s_arg(2));
   } else if (cmd == "slcompare" && args.size() >= 3) {
-    rc = cmd_slcompare(path, static_cast<std::size_t>(std::atol(arg(2))));
+    rc = cmd_slcompare(path, s_arg(2));
   } else if (cmd == "betweenness" && args.size() >= 3) {
-    rc = cmd_betweenness(path, static_cast<std::size_t>(std::atol(arg(2))),
-                         args.size() >= 4 ? static_cast<std::size_t>(std::atol(arg(3))) : 0);
+    rc = cmd_betweenness(path, s_arg(2),
+                         args.size() >= 4 ? parse_number<std::size_t>(arg(3), "samples") : 0);
   } else if (cmd == "motifs") {
     rc = cmd_motifs(path);
   } else if (cmd == "toplexes") {
@@ -679,9 +697,9 @@ int main(int argc, char** argv) {
   } else if (cmd == "inspect") {
     rc = cmd_inspect(path);
   } else if (cmd == "generate" && args.size() >= 4) {
-    rc = cmd_generate(path, static_cast<std::size_t>(std::atol(arg(2))), arg(3));
+    rc = cmd_generate(path, parse_number<std::size_t>(arg(2), "scale"), arg(3));
   } else if (cmd == "profile") {
-    rc = cmd_profile(path, args.size() >= 3 ? static_cast<std::size_t>(std::atol(arg(2))) : 1);
+    rc = cmd_profile(path, args.size() >= 3 ? s_arg(2) : 1);
   } else {
     usage();
     return 2;
@@ -691,6 +709,10 @@ int main(int argc, char** argv) {
     // context, nonzero exit, no abort.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
+  } catch (const std::invalid_argument& e) {
+    // A malformed positional argument (s, edge id, count).
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   if (rc == 0 && !profile_out.empty() && nw::obs::runtime_enabled()) {
