@@ -27,11 +27,9 @@ const fixture& data() {
   static fixture f = [] {
     auto el = gen::uniform_random_hypergraph(30000, 30000, 8, 0xAB1C);
     el.sort_and_unique();
-    biadjacency<0> he(el);
-    biadjacency<1> hn(el);
-    auto           adjoin = make_adjoin_graph(el);
-    nw::vertex_id_t src   = 0;
-    return fixture{std::move(he), std::move(hn), std::move(adjoin), src};
+    auto            g   = make_generation(std::move(el));
+    nw::vertex_id_t src = 0;
+    return fixture{g->hyperedges, g->hypernodes, adjoin_graph(g), src};
   }();
   return f;
 }
@@ -63,7 +61,7 @@ void BM_HyperBFS_DirectionOptimizing(benchmark::State& state) {
 void BM_AdjoinBFS_TopDown(benchmark::State& state) {
   const auto& f = data();
   for (auto _ : state) {
-    auto r = nw::graph::bfs_direction_optimizing(f.adjoin.graph, f.source, top_down_alpha);
+    auto r = nw::graph::bfs_direction_optimizing(f.adjoin, f.source, top_down_alpha);
     benchmark::DoNotOptimize(r.data());
   }
 }
@@ -71,7 +69,7 @@ void BM_AdjoinBFS_TopDown(benchmark::State& state) {
 void BM_AdjoinBFS_DirectionOptimizing(benchmark::State& state) {
   const auto& f = data();
   for (auto _ : state) {
-    auto r = nw::graph::bfs_direction_optimizing(f.adjoin.graph, f.source);
+    auto r = nw::graph::bfs_direction_optimizing(f.adjoin, f.source);
     benchmark::DoNotOptimize(r.data());
   }
 }

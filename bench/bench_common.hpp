@@ -51,25 +51,27 @@ inline std::vector<unsigned> env_threads() {
   return out;
 }
 
-/// One fully materialized dataset: every representation the harnesses need.
+/// One fully materialized dataset: every representation the harnesses need
+/// (the adjoin graph is a view over the generation's two CSRs).
 struct dataset {
-  std::string              name;
-  biedgelist<>             el;
-  biadjacency<0>           hyperedges;
-  biadjacency<1>           hypernodes;
-  adjoin_graph             adjoin;
-  std::vector<std::size_t> edge_degrees;
-  std::vector<std::size_t> node_degrees;
+  std::string                                  name;
+  std::shared_ptr<const hypergraph_generation> gen;
+  const biedgelist<>&                          el;
+  const biadjacency<0>&                        hyperedges;
+  const biadjacency<1>&                        hypernodes;
+  adjoin_graph                                 adjoin;
+  std::vector<std::size_t>                     edge_degrees;
+  std::vector<std::size_t>                     node_degrees;
 
-  dataset(std::string n, biedgelist<> input) : name(std::move(n)) {
-    input.sort_and_unique();
-    el           = std::move(input);
-    hyperedges   = biadjacency<0>(el);
-    hypernodes   = biadjacency<1>(el);
-    adjoin       = make_adjoin_graph(el);
-    edge_degrees = hyperedges.degrees();
-    node_degrees = hypernodes.degrees();
-  }
+  dataset(std::string n, biedgelist<> input)
+      : name(std::move(n)),
+        gen(make_generation((input.sort_and_unique(), std::move(input)))),
+        el(gen->el),
+        hyperedges(gen->hyperedges),
+        hypernodes(gen->hypernodes),
+        adjoin(gen),
+        edge_degrees(hyperedges.degrees()),
+        node_degrees(hypernodes.degrees()) {}
 };
 
 /// Build (and cache) the Table-I suite at the configured scale.

@@ -203,11 +203,11 @@ int main() {
     // The queue algorithm's versatility claim: the identical kernel also
     // runs on the adjoin representation (one shared index set), where the
     // non-queue algorithms' contiguous-[0, nE) assumption does not hold.
-    std::vector<vertex_id_t> adjoin_queue(d->adjoin.nrealedges);
+    std::vector<vertex_id_t> adjoin_queue(d->adjoin.nrealedges());
     for (std::size_t i = 0; i < adjoin_queue.size(); ++i) {
       adjoin_queue[i] = static_cast<vertex_id_t>(i);
     }
-    auto adjoin_degrees = d->adjoin.graph.degrees();
+    auto adjoin_degrees = d->adjoin.degrees();
 
     for (std::size_t s : env_svalues()) {
       std::size_t edges = run_algo(algo::hashmap, views[0], s, nw::par::blocked{});
@@ -216,8 +216,8 @@ int main() {
       double q1  = best_time(algo::queue_hashmap, views, s);
       double q2  = best_time(algo::queue_intersection, views, s);
       double q1a = time_min_ms([&] {
-        auto el = to_two_graph_queue_hashmap(adjoin_queue, d->adjoin.graph, d->adjoin.graph,
-                                             adjoin_degrees, s, d->adjoin.nrealedges);
+        auto el = to_two_graph_queue_hashmap(adjoin_queue, d->adjoin, d->adjoin,
+                                             adjoin_degrees, s, d->adjoin.nrealedges());
         (void)el;
       });
       std::printf(

@@ -146,7 +146,6 @@ std::uint64_t touch_all(const csr_snapshot& snap) {
   };
   sweep(snap.edges.csr());
   sweep(snap.nodes.csr());
-  if (snap.adjoin) sweep(snap.adjoin->graph);
   return acc;
 }
 

@@ -34,9 +34,9 @@ int main() {
   }
 
   // Representation 2: adjoin graph — one shared index set.
-  const auto& adjoin = hg.adjoin();
+  const auto adjoin = hg.adjoin();
   std::printf("\nadjoin graph: %zu ids (%zu hyperedge ids + %zu hypernode ids)\n",
-              adjoin.num_ids(), adjoin.nrealedges, adjoin.nrealnodes);
+              adjoin.num_ids(), adjoin.nrealedges(), adjoin.nrealnodes());
 
   // Exact analytics on both representations.
   auto cc  = hg.connected_components();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check_docs.sh — the doc-truth linter: docs/ and README.md may only
 # name things that exist in the tree, and production code may not call the
-# serial oracles.  Seven checks:
+# serial oracles.  Eight checks:
 #
 #   1. env knobs, both directions.  Every `NWHY_*` token in the docs must be
 #      read somewhere (a quoted "NWHY_*" string in src/tools/bench/tests/
@@ -20,6 +20,10 @@
 #   3. nwhy_tool subcommands, docs -> dispatch.  Every `nwhy_tool <word>`
 #      mention must have a matching `cmd == "<word>"` branch in
 #      tools/nwhy_tool.cpp.
+#   3b. nwhy_tool options, docs -> parser.  Every `--flag` on a doc line
+#      that mentions nwhy_tool must appear as a string literal ("--flag" or
+#      "--flag=...") in tools/nwhy_tool.cpp, whose option parser rejects
+#      anything else.
 #   4. the serial oracles stay out of production (full run only).  No file
 #      under src/ may include a ref/ header by any path ("nwhy/ref/...",
 #      "ref/...", "../ref/..."), include the umbrella nwhy.hpp (which
@@ -49,7 +53,9 @@
 #   scripts/check_docs.sh <file>...       lint only the given files
 #                                         (docs->source directions only)
 #   scripts/check_docs.sh --self-test     negative tests: a synthetic doc
-#                                         citing a nonexistent knob, a
+#                                         citing a nonexistent knob, one
+#                                         citing a nonexistent nwhy_tool
+#                                         option, a
 #                                         synthetic source tree calling an
 #                                         oracle, one reading a knob its
 #                                         profiles omit, one indexing a
@@ -149,6 +155,17 @@ if [[ "${1:-}" == "--self-test" ]]; then
   fi
   if ! grep -q "NWHY_NO_SUCH_KNOB" "$TMP/out"; then
     echo "check_docs.sh: self-test FAILED — rejection did not name the bogus knob" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  printf 'Run `nwhy_tool convert a b --no-such-flag` for nothing at all.\n' >"$TMP/flag.md"
+  if "$0" "$TMP/flag.md" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — a doc citing nwhy_tool --no-such-flag passed" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  if ! grep -q -- "--no-such-flag" "$TMP/out"; then
+    echo "check_docs.sh: self-test FAILED — rejection did not name the bogus option" >&2
     cat "$TMP/out" >&2
     exit 1
   fi
@@ -286,7 +303,7 @@ KERNEL
     cat "$TMP/out" >&2
     exit 1
   fi
-  echo "check_docs.sh: self-test OK (nonexistent knob, production oracle use, unrecorded profile knob, hand-written relabel translation and overlap count outside count_overlaps rejected)"
+  echo "check_docs.sh: self-test OK (nonexistent knob and nwhy_tool option, production oracle use, unrecorded profile knob, hand-written relabel translation and overlap count outside count_overlaps rejected)"
   exit 0
 fi
 
@@ -326,9 +343,10 @@ SRC_METRICS=$(grep -rhoE 'NWOBS_(COUNT|GAUGE_MAX|GAUGE_SET|SCOPE_TIMER)\("[^"]+"
   src tools | sed -E 's/.*\("([^"]+)".*/\1/' | sort -u)
 METRIC_FAMILIES=$(printf '%s\n' "$SRC_METRICS" | sed -E 's/\..*$//' | sort -u)
 
-# nwhy_tool dispatch branches.
+# nwhy_tool dispatch branches, and the options its parser accepts.
 TOOL_CMDS=$(grep -hoE 'cmd == "[a-z_]+"' tools/nwhy_tool.cpp \
   | grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+TOOL_OPTS=$(grep -hoE '"--[a-z][a-z0-9-]*' tools/nwhy_tool.cpp | tr -d '"' | sort -u)
 
 has_line() {  # has_line <needle> <haystack-lines>
   # Here-string, not a pipe: `grep -q` exits on the first match, and under
@@ -384,6 +402,18 @@ for cmd in $DOC_CMDS; do
   if ! has_line "$cmd" "$TOOL_CMDS"; then
     err "documented subcommand 'nwhy_tool $cmd' has no cmd == \"$cmd\" dispatch branch"
   fi
+done
+
+# --- check 3b: documented nwhy_tool options exist --------------------------
+
+for doc in "${DOCS[@]}"; do
+  doc_opts=$(grep -hE 'nwhy_tool' "$doc" 2>/dev/null \
+    | grep -oE '(^|[^-[:alnum:]])--[a-z][a-z0-9-]*' | sed -E 's/^[^-]*//' | sort -u || true)
+  for opt in $doc_opts; do
+    if ! has_line "$opt" "$TOOL_OPTS"; then
+      err "$doc: option '$opt' on an nwhy_tool line is not parsed by tools/nwhy_tool.cpp"
+    fi
+  done
 done
 
 # --- check 4: the serial oracles stay out of production --------------------

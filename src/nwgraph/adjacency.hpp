@@ -96,6 +96,45 @@ private:
 
 }  // namespace detail
 
+/// Random-access outer iterator of any graph answering `g[u]` by value:
+/// position u dereferences to row u (a prvalue range, like views::iota).
+/// Shared by the CSR below and the adjoin row view (nwhy/adjoin.hpp).
+template <class G>
+class row_iterator {
+public:
+  using reference         = decltype(std::declval<const G&>()[std::size_t{}]);
+  using value_type        = reference;
+  using iterator_concept  = std::random_access_iterator_tag;
+  using iterator_category = std::random_access_iterator_tag;
+  using difference_type   = std::ptrdiff_t;
+
+  row_iterator() = default;
+  row_iterator(const G* g, std::size_t u) : g_(g), u_(u) {}
+
+  reference operator*() const { return (*g_)[u_]; }
+  reference operator[](difference_type k) const { return (*g_)[u_ + k]; }
+
+  row_iterator& operator++() { ++u_; return *this; }
+  row_iterator  operator++(int) { auto t = *this; ++u_; return t; }
+  row_iterator& operator--() { --u_; return *this; }
+  row_iterator  operator--(int) { auto t = *this; --u_; return t; }
+  row_iterator& operator+=(difference_type k) { u_ += k; return *this; }
+  row_iterator& operator-=(difference_type k) { u_ -= k; return *this; }
+
+  friend row_iterator operator+(row_iterator it, difference_type k) { return it += k; }
+  friend row_iterator operator+(difference_type k, row_iterator it) { return it += k; }
+  friend row_iterator operator-(row_iterator it, difference_type k) { return it -= k; }
+  friend difference_type operator-(const row_iterator& a, const row_iterator& b) {
+    return static_cast<difference_type>(a.u_) - static_cast<difference_type>(b.u_);
+  }
+  friend bool operator==(const row_iterator& a, const row_iterator& b) { return a.u_ == b.u_; }
+  friend auto operator<=>(const row_iterator& a, const row_iterator& b) { return a.u_ <=> b.u_; }
+
+private:
+  const G*    g_ = nullptr;
+  std::size_t u_ = 0;
+};
+
 template <class... Attributes>
 class adjacency {
 public:
@@ -410,44 +449,7 @@ public:
 
   /// Outer iterator: random access over vertices, dereferencing to the
   /// vertex's neighborhood (an inner_range prvalue, like views::iota).
-  class const_iterator {
-  public:
-    using iterator_concept  = std::random_access_iterator_tag;
-    using iterator_category = std::random_access_iterator_tag;
-    using value_type        = inner_range;
-    using difference_type   = std::ptrdiff_t;
-    using reference         = inner_range;
-
-    const_iterator() = default;
-    const_iterator(const adjacency* g, std::size_t u) : g_(g), u_(u) {}
-
-    inner_range operator*() const { return (*g_)[u_]; }
-    inner_range operator[](difference_type k) const { return (*g_)[u_ + k]; }
-
-    const_iterator& operator++() { ++u_; return *this; }
-    const_iterator  operator++(int) { auto t = *this; ++u_; return t; }
-    const_iterator& operator--() { --u_; return *this; }
-    const_iterator  operator--(int) { auto t = *this; --u_; return t; }
-    const_iterator& operator+=(difference_type k) { u_ += k; return *this; }
-    const_iterator& operator-=(difference_type k) { u_ -= k; return *this; }
-
-    friend const_iterator operator+(const_iterator it, difference_type k) { return it += k; }
-    friend const_iterator operator+(difference_type k, const_iterator it) { return it += k; }
-    friend const_iterator operator-(const_iterator it, difference_type k) { return it -= k; }
-    friend difference_type operator-(const const_iterator& a, const const_iterator& b) {
-      return static_cast<difference_type>(a.u_) - static_cast<difference_type>(b.u_);
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.u_ == b.u_;
-    }
-    friend auto operator<=>(const const_iterator& a, const const_iterator& b) {
-      return a.u_ <=> b.u_;
-    }
-
-  private:
-    const adjacency* g_ = nullptr;
-    std::size_t      u_ = 0;
-  };
+  using const_iterator = row_iterator<adjacency>;
 
   [[nodiscard]] const_iterator begin() const { return {this, 0}; }
   [[nodiscard]] const_iterator end() const { return {this, n_}; }

@@ -6,8 +6,11 @@
 // hyperedge and hypernode parts.  This is the payoff of the single shared
 // index space: no hypergraph-specific algorithm required.
 //
-//   AdjoinBFS — direction-optimizing BFS (Beamer) on the adjoin CSR
+//   AdjoinBFS — direction-optimizing BFS (Beamer) on the adjoin rows
 //   AdjoinCC  — Afforest (Sutton et al.) or min-label propagation
+//
+// Both run on the adjoin row view (nwhy/adjoin.hpp), which reads the
+// generation's E2N / N2E rows with the id shift applied.
 #pragma once
 
 #include <utility>
@@ -29,23 +32,23 @@ struct adjoin_bfs_result {
 
 /// BFS from hyperedge `source_edge` via direction-optimizing graph BFS.
 inline adjoin_bfs_result adjoin_bfs(const adjoin_graph& g, vertex_id_t source_edge) {
-  NW_ASSERT(source_edge < g.nrealedges, "adjoin_bfs source must be a hyperedge id");
+  NW_ASSERT(source_edge < g.nrealedges(), "adjoin_bfs source must be a hyperedge id");
   // The per-level counters (frontier sizes, direction switches, edges
   // relaxed) are emitted by the underlying engine under "graph_bfs.*";
   // this wrapper contributes the phase timer and run count so profiles can
   // attribute those engine counters to AdjoinBFS invocations.
   NWOBS_SCOPE_TIMER("adjoin_bfs");
   NWOBS_COUNT("adjoin_bfs.runs", 1);
-  auto parents = nw::graph::bfs_direction_optimizing(g.graph, source_edge);
-  auto [pe, pn] = split_results(parents, g.nrealedges);
+  auto parents = nw::graph::bfs_direction_optimizing(g, source_edge);
+  auto [pe, pn] = split_results(parents, g.nrealedges());
   return {std::move(pe), std::move(pn)};
 }
 
 /// BFS hop distances in the shared index set (hypernodes at odd depths).
 inline std::pair<std::vector<vertex_id_t>, std::vector<vertex_id_t>> adjoin_bfs_distances(
     const adjoin_graph& g, vertex_id_t source_edge) {
-  auto dist = nw::graph::bfs_distances(g.graph, source_edge);
-  return split_results(dist, g.nrealedges);
+  auto dist = nw::graph::bfs_distances(g, source_edge);
+  return split_results(dist, g.nrealedges());
 }
 
 struct adjoin_cc_result {
@@ -62,9 +65,9 @@ inline adjoin_cc_result adjoin_cc(const adjoin_graph&           g,
                                   adjoin_cc_engine engine = adjoin_cc_engine::afforest) {
   NWOBS_SCOPE_TIMER("adjoin_cc");
   std::vector<vertex_id_t> labels = engine == adjoin_cc_engine::afforest
-                                        ? nw::graph::cc_afforest(g.graph)
-                                        : nw::graph::cc_label_propagation(g.graph);
-  auto [le, ln] = split_results(labels, g.nrealedges);
+                                        ? nw::graph::cc_afforest(g)
+                                        : nw::graph::cc_label_propagation(g);
+  auto [le, ln] = split_results(labels, g.nrealedges());
   return {std::move(le), std::move(ln)};
 }
 

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <ranges>
 #include <vector>
 
@@ -125,6 +127,34 @@ static_assert(std::ranges::random_access_range<biadjacency<1>>);
 template <int idx, class... Attributes>
 std::size_t num_vertices(const biadjacency<idx, Attributes...>& g, std::size_t partition) {
   return partition == static_cast<std::size_t>(idx) ? g.num_sources() : g.num_targets();
+}
+
+/// One immutable CSR generation of a (possibly mutating) hypergraph: the
+/// canonical edge list and both bi-adjacency CSRs built from it.  Held by
+/// shared_ptr: a reader that pins the generation (a mid-flight query, a
+/// snapshot writer, a serving thread, an adjoin view) keeps it — including
+/// any mmap'd snapshot bytes backing zero-copy CSR views — alive across a
+/// concurrent compaction that swaps the owner to a newer generation.
+struct hypergraph_generation {
+  biedgelist<>                el;
+  biadjacency<0>              hyperedges;
+  biadjacency<1>              hypernodes;
+  /// Owns the mmap'd snapshot bytes when the CSRs are zero-copy views.
+  std::shared_ptr<const void> io_keepalive;
+  /// Monotonic per-hypergraph generation counter (0 = initial build).
+  std::uint64_t               id = 0;
+};
+
+/// Build both CSRs of a generation from a canonical (sort_and_unique'd)
+/// edge list, which the generation then owns.
+inline std::shared_ptr<hypergraph_generation> make_generation(biedgelist<> el,
+                                                              std::uint64_t id = 0) {
+  auto gen        = std::make_shared<hypergraph_generation>();
+  gen->el         = std::move(el);
+  gen->hyperedges = biadjacency<0>(gen->el);
+  gen->hypernodes = biadjacency<1>(gen->el);
+  gen->id         = id;
+  return gen;
 }
 
 }  // namespace nw::hypergraph

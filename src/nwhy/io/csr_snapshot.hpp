@@ -3,11 +3,10 @@
 // NWHYCSR2: the versioned binary snapshot of a hypergraph's *built* CSR
 // structures.  Where NWHYBIN1 (nwhy/io/binary.hpp) caches the raw edge list
 // and pays the full parallel CSR construction on every load, NWHYCSR2
-// serializes both bi-adjacency CSRs (and optionally the adjoin CSR), so a
-// load is just a validation pass plus — on the mmap path — zero copies:
-// `map_csr_snapshot` hands file-backed `std::span`s straight into
-// `biadjacency` / `adjoin_graph`, making load one streaming scan of the
-// file with no parsing, hashing, or construction.
+// serializes both bi-adjacency CSRs, so a load is just a validation pass
+// plus — on the mmap path — zero copies: `map_csr_snapshot` hands
+// file-backed `std::span`s straight into `biadjacency`, making load one
+// streaming scan of the file with no parsing, hashing, or construction.
 //
 // Byte-level layout (little-endian throughout; docs/IO_FORMATS.md is the
 // normative spec — keep the two in sync):
@@ -16,7 +15,7 @@
 //   ------ ----  -----------------------------------------------------------
 //        0    8  magic "NWHYCSR2"
 //        8    4  u32 version (currently 1)
-//       12    4  u32 flags: bit0 HAS_ADJOIN, bit1 CANONICAL
+//       12    4  u32 flags: bit0 HAS_ADJOIN (legacy), bit1 CANONICAL
 //       16    8  u64 n0   (hyperedge cardinality)
 //       24    8  u64 n1   (hypernode cardinality)
 //       32    8  u64 m    (incidence count)
@@ -34,8 +33,8 @@
 //   2 E2N_TARGETS    (4)  m x u32        hypernode ids
 //   3 N2E_INDICES    (8)  (n1+1) x u64   hypernode->hyperedge row offsets
 //   4 N2E_TARGETS    (4)  m x u32        hyperedge ids
-//   5 ADJOIN_INDICES (8)  (n0+n1+1) x u64  [HAS_ADJOIN only]
-//   6 ADJOIN_TARGETS (4)  adjoin edge count x u32  [HAS_ADJOIN only]
+//   5 ADJOIN_INDICES (8)  legacy: never written, checksummed, never decoded
+//   6 ADJOIN_TARGETS (4)  legacy: never written, checksummed, never decoded
 //
 // Every payload starts at a 64-byte-aligned offset (zero padding between
 // sections); table order equals file order (strictly increasing offsets).
@@ -89,7 +88,6 @@
 #define NWHY_HAS_MMAP 0
 #endif
 
-#include "nwhy/adjoin.hpp"
 #include "nwhy/biadjacency.hpp"
 #include "nwhy/biedgelist.hpp"
 #include "nwhy/io/compress.hpp"
@@ -110,7 +108,9 @@ static_assert(sizeof(nw::offset_t) == 8 && sizeof(nw::vertex_id_t) == 4,
 inline constexpr char          csr_snapshot_magic[8] = {'N', 'W', 'H', 'Y', 'C', 'S', 'R', '2'};
 inline constexpr std::uint32_t csr_snapshot_version  = 1;
 
-/// Header flag bits.
+/// Header flag bits.  HAS_ADJOIN is legacy: older writers set it with
+/// sections 5/6, which readers checksum but never decode (the adjoin graph
+/// is a view over the two CSRs, nwhy/adjoin.hpp).
 inline constexpr std::uint32_t csr_flag_has_adjoin = 1u << 0;
 inline constexpr std::uint32_t csr_flag_canonical  = 1u << 1;
 
@@ -308,8 +308,7 @@ inline parsed_header parse_header(const unsigned char* data, std::uint64_t avail
 
   // u32 id space: ids must fit vertex_id_t with the null sentinel reserved.
   const std::uint64_t id_limit = std::numeric_limits<nw::vertex_id_t>::max();
-  if (h.n0 > id_limit || h.n1 > id_limit ||
-      ((h.flags & csr_flag_has_adjoin) && h.n0 + h.n1 > id_limit)) {
+  if (h.n0 > id_limit || h.n1 > id_limit) {
     throw io_error("NWHYCSR2 cardinality overflows the 32-bit id space", origin, 0, 16);
   }
 
@@ -718,8 +717,8 @@ inline compressed_adjacency make_compressed_view(
 
 }  // namespace csr_detail
 
-/// A loaded snapshot: the two bi-adjacency CSRs, the optional adjoin CSR,
-/// and the keepalive owning the file image the spans point into.  Move
+/// A loaded snapshot: the two bi-adjacency CSRs and the keepalive owning
+/// the file image the spans point into.  Move
 /// `storage` along with the CSRs (NWHypergraph's snapshot constructor
 /// does).
 struct csr_snapshot {
@@ -727,9 +726,8 @@ struct csr_snapshot {
   std::uint32_t flags   = 0;
   std::uint64_t n0 = 0, n1 = 0, m = 0;
 
-  biadjacency<0>              edges;   ///< hyperedge -> hypernodes CSR
-  biadjacency<1>              nodes;   ///< hypernode -> hyperedges CSR
-  std::optional<adjoin_graph> adjoin;  ///< present iff HAS_ADJOIN was set
+  biadjacency<0> edges;  ///< hyperedge -> hypernodes CSR
+  biadjacency<1> nodes;  ///< hypernode -> hyperedges CSR
 
   /// Populated instead of edges/nodes when a compressed snapshot is loaded
   /// with `snapshot_decode::stream`: block-decoding views over the still-
@@ -747,8 +745,8 @@ struct csr_snapshot {
   std::vector<nw::vertex_id_t> relabel_inv;
 
   /// Owns the file image (the mmap'd file, or the streamed reader's staged
-  /// copy) while some span above points into it: a raw E2N/N2E side, the
-  /// adjoin, or a stream-mode view.  Null when every structure owns its
+  /// copy) while some span above points into it: a raw E2N/N2E side or a
+  /// stream-mode view.  Null when every structure owns its
   /// vectors (decoded or shard-reassembled sides), which frees the image.
   std::shared_ptr<const void> storage;
 
@@ -825,7 +823,6 @@ struct csr_write_options {
   const csr_compress_options*      compress = nullptr;
   const csr_shard_options*         shard    = nullptr;
   std::span<const nw::vertex_id_t> relabel_inv{};
-  const adjoin_graph*              adjoin    = nullptr;
   bool                             canonical = true;
 };
 
@@ -961,16 +958,11 @@ inline void write_csr_snapshot_impl(std::ostream& out, const biadjacency<0>& edg
   NW_ASSERT(edges.num_sources() == nodes.num_targets() &&
                 edges.num_targets() == nodes.num_sources(),
             "bi-adjacency pair disagrees on the partition cardinalities");
-  const adjoin_graph*         adjoin    = wopt.adjoin;
   const bool                  canonical = wopt.canonical;
   const csr_compress_options* opt       = wopt.compress;
   const std::uint64_t         n0        = edges.num_sources();
   const std::uint64_t         n1        = nodes.num_sources();
   const std::uint64_t         m         = edges.num_edges();
-  if (adjoin != nullptr) {
-    NW_ASSERT(adjoin->nrealedges == n0 && adjoin->nrealnodes == n1,
-              "adjoin partition sizes disagree with the bi-adjacency pair");
-  }
   const bool sharding = wopt.shard != nullptr && n0 > 0;
   NW_ASSERT(!sharding || canonical,
             "sharded snapshots require canonical CSRs (sorted neighbor rows)");
@@ -1040,12 +1032,7 @@ inline void write_csr_snapshot_impl(std::ostream& out, const biadjacency<0>& edg
       add_svb(nodes.csr().targets(), csr_sec_n2e_targets_svb);
     }
   }
-  std::uint32_t flags = canonical ? csr_flag_canonical : 0;
-  if (adjoin != nullptr) {
-    flags |= csr_flag_has_adjoin;
-    add_indices(adjoin->graph, csr_sec_adjoin_indices);
-    add_targets_raw(adjoin->graph, csr_sec_adjoin_targets);
-  }
+  const std::uint32_t flags = canonical ? csr_flag_canonical : 0;
   if (!wopt.relabel_inv.empty()) {
     raws.push_back({csr_sec_relabel_inv, 4, wopt.relabel_inv.data(),
                     wopt.relabel_inv.size() * sizeof(nw::vertex_id_t)});
@@ -1115,36 +1102,21 @@ inline void write_csr_snapshot_impl(std::ostream& out, const biadjacency<0>& edg
   NWOBS_COUNT("io.snapshot_bytes_written", file_size);
 }
 
-/// Full-options ostream overload; the narrower overloads below forward
-/// here.
+/// Full-options ostream overload (defaults: a raw canonical snapshot).
 inline void write_csr_snapshot(std::ostream& out, const biadjacency<0>& edges,
-                               const biadjacency<1>& nodes, const csr_write_options& wopt,
+                               const biadjacency<1>& nodes, const csr_write_options& wopt = {},
                                const std::string& origin = {}) {
-  write_csr_snapshot_impl(out, edges, nodes, origin, wopt);
-}
-
-inline void write_csr_snapshot(std::ostream& out, const biadjacency<0>& edges,
-                               const biadjacency<1>& nodes,
-                               const adjoin_graph* adjoin = nullptr, bool canonical = true,
-                               const std::string& origin = {}) {
-  csr_write_options wopt;
-  wopt.adjoin    = adjoin;
-  wopt.canonical = canonical;
   write_csr_snapshot_impl(out, edges, nodes, origin, wopt);
 }
 
 /// Compressing overload: emit the bi-adjacency target sections in the
 /// StreamVByte block format (and, when duplicate hyperedges exist and
-/// `opt.dedup_rows` is set, the E2N duplicate-row dictionary).  The adjoin
-/// CSR — incidences stored twice, rarely the footprint problem — stays raw.
+/// `opt.dedup_rows` is set, the E2N duplicate-row dictionary).
 inline void write_csr_snapshot(std::ostream& out, const biadjacency<0>& edges,
                                const biadjacency<1>& nodes, const csr_compress_options& opt,
-                               const adjoin_graph* adjoin = nullptr, bool canonical = true,
                                const std::string& origin = {}) {
   csr_write_options wopt;
-  wopt.compress  = &opt;
-  wopt.adjoin    = adjoin;
-  wopt.canonical = canonical;
+  wopt.compress = &opt;
   write_csr_snapshot_impl(out, edges, nodes, origin, wopt);
 }
 
@@ -1152,7 +1124,7 @@ inline void write_csr_snapshot(std::ostream& out, const biadjacency<0>& edges,
 /// output file is removed (regular files only) and io_error propagates, so
 /// a failed `nwhy_tool convert` never leaves a truncated .nwcsr on disk.
 inline void write_csr_snapshot(const std::string& path, const biadjacency<0>& edges,
-                               const biadjacency<1>& nodes, const csr_write_options& wopt) {
+                               const biadjacency<1>& nodes, const csr_write_options& wopt = {}) {
   std::ofstream out(path, std::ios::binary);
   if (!out.is_open()) throw io_error("cannot open snapshot output file", path);
   try {
@@ -1166,23 +1138,11 @@ inline void write_csr_snapshot(const std::string& path, const biadjacency<0>& ed
   }
 }
 
-inline void write_csr_snapshot(const std::string& path, const biadjacency<0>& edges,
-                               const biadjacency<1>& nodes,
-                               const adjoin_graph* adjoin = nullptr, bool canonical = true) {
-  csr_write_options wopt;
-  wopt.adjoin    = adjoin;
-  wopt.canonical = canonical;
-  write_csr_snapshot(path, edges, nodes, wopt);
-}
-
 /// Compressing path overload (see the ostream overload above).
 inline void write_csr_snapshot(const std::string& path, const biadjacency<0>& edges,
-                               const biadjacency<1>& nodes, const csr_compress_options& opt,
-                               const adjoin_graph* adjoin = nullptr, bool canonical = true) {
+                               const biadjacency<1>& nodes, const csr_compress_options& opt) {
   csr_write_options wopt;
-  wopt.compress  = &opt;
-  wopt.adjoin    = adjoin;
-  wopt.canonical = canonical;
+  wopt.compress = &opt;
   write_csr_snapshot(path, edges, nodes, wopt);
 }
 
@@ -1226,7 +1186,6 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
                                    s.length / sizeof(elem_t));
   };
   auto load_csr = [&](std::uint32_t idx_kind, std::uint32_t tgt_kind, std::uint64_t n,
-                      std::uint64_t expect_targets, bool exact_targets,
                       std::uint64_t target_bound, const char* what) {
     const auto& si = require_section(h, idx_kind, (n + 1) * sizeof(nw::offset_t), origin);
     const auto* st = h.find(tgt_kind);
@@ -1235,10 +1194,10 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
                          std::to_string(tgt_kind),
                      origin, 0, header_bytes);
     }
-    if (exact_targets && st->length != expect_targets * sizeof(nw::vertex_id_t)) {
+    if (st->length != h.m * sizeof(nw::vertex_id_t)) {
       throw io_error("NWHYCSR2 section kind " + std::to_string(tgt_kind) + " has " +
                          std::to_string(st->length) + " bytes, expected " +
-                         std::to_string(expect_targets * sizeof(nw::vertex_id_t)),
+                         std::to_string(h.m * sizeof(nw::vertex_id_t)),
                      origin, 0, header_bytes);
     }
     auto idx = section_span(si, nw::offset_t{});
@@ -1322,7 +1281,7 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
   };
   if (e2n_raw) {
     snap.edges = biadjacency<0>::from_csr(
-        load_csr(csr_sec_e2n_indices, csr_sec_e2n_targets, h.n0, h.m, true, h.n1, "E2N"), h.n0,
+        load_csr(csr_sec_e2n_indices, csr_sec_e2n_targets, h.n0, h.n1, "E2N"), h.n0,
         h.n1);
   } else if (e2n_svb) {
     auto view =
@@ -1339,7 +1298,7 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
   }
   if (n2e_raw) {
     snap.nodes = biadjacency<1>::from_csr(
-        load_csr(csr_sec_n2e_indices, csr_sec_n2e_targets, h.n1, h.m, true, h.n0, "N2E"), h.n1,
+        load_csr(csr_sec_n2e_indices, csr_sec_n2e_targets, h.n1, h.n0, "N2E"), h.n1,
         h.n0);
   } else if (n2e_svb) {
     auto view =
@@ -1353,12 +1312,6 @@ inline csr_snapshot snapshot_from_image(const parsed_header& h, const unsigned c
   } else {
     snap.nodes = biadjacency<1>::from_csr(
         adopt_shard_side(csr_sec_n2e_indices, std::move(shard_n2e), h.n1), h.n1, h.n0);
-  }
-  if ((h.flags & csr_flag_has_adjoin) != 0) {
-    snap.adjoin = adjoin_graph{
-        load_csr(csr_sec_adjoin_indices, csr_sec_adjoin_targets, h.n0 + h.n1, 0, false,
-                 h.n0 + h.n1, "adjoin"),
-        static_cast<std::size_t>(h.n0), static_cast<std::size_t>(h.n1)};
   }
   if (h.find(csr_sec_relabel_inv) != nullptr) {
     const auto& sre =

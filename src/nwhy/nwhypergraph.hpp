@@ -71,21 +71,6 @@
 
 namespace nw::hypergraph {
 
-/// One immutable CSR generation of a (possibly mutating) hypergraph.
-/// Held by shared_ptr: a reader that pins the generation (a mid-flight
-/// query, a snapshot writer, a serving thread) keeps it — including any
-/// mmap'd snapshot bytes backing zero-copy CSR views — alive across a
-/// concurrent compaction that swaps the owner to a newer generation.
-struct hypergraph_generation {
-  biedgelist<>                el;
-  biadjacency<0>              hyperedges;
-  biadjacency<1>              hypernodes;
-  /// Owns the mmap'd snapshot bytes when the CSRs are zero-copy views.
-  std::shared_ptr<const void> io_keepalive;
-  /// Monotonic per-hypergraph generation counter (0 = initial build).
-  std::uint64_t               id = 0;
-};
-
 /// One batched-mutation row: hyperedge `edge` gets the full member list
 /// `members` (insert when new, replacement when it exists).
 struct edge_update {
@@ -111,10 +96,9 @@ public:
 
   /// Construct from a loaded NWHYCSR2 snapshot.  CANONICAL snapshots are
   /// adopted wholesale: the two CSRs (possibly zero-copy mmap views) become
-  /// the live bi-adjacency structures, the edge list is re-expanded in
-  /// parallel from the E2N rows, and a cached adjoin section is installed
-  /// directly.  Non-canonical snapshots fall back to the full
-  /// sort_and_unique + rebuild pipeline.
+  /// the live bi-adjacency structures and the edge list is re-expanded in
+  /// parallel from the E2N rows.  Non-canonical snapshots fall back to the
+  /// full sort_and_unique + rebuild pipeline.
   explicit NWHypergraph(csr_snapshot snap) {
     // A stream-mode load of a compressed snapshot carries block-decoding
     // views instead of CSRs; NWHypergraph owns its structures, so fold them
@@ -130,13 +114,9 @@ public:
       adopt_generation(std::move(gen));
       if (!snap.relabel_inv.empty()) {
         // The snapshot's rows are in relabeled (internal) order; install the
-        // persisted maps so every query translates at the boundary.  An
-        // embedded adjoin would be internal-space while the facade caches
-        // external-space adjoins, so it is dropped and rebuilt lazily.
+        // persisted maps so every query translates at the boundary.
         relabel_ = relabel_maps::from_inverse(std::move(snap.relabel_inv));
         refresh_relabel_degrees();
-      } else if (snap.adjoin) {
-        adjoin_ = std::make_unique<adjoin_graph>(std::move(*snap.adjoin));
       }
     } else {
       auto el = snap.to_biedgelist();
@@ -156,31 +136,25 @@ public:
   }
 
   /// Serialize this hypergraph as a CANONICAL NWHYCSR2 snapshot.
-  /// `with_adjoin` additionally embeds the (lazily built) adjoin CSR so a
-  /// later load skips that construction too.  Requires a compacted state
-  /// (the snapshot serializes the base CSRs, which a pending delta would
-  /// silently contradict).
+  /// Requires a compacted state (the snapshot serializes the base CSRs,
+  /// which a pending delta would silently contradict).
   /// When the hypergraph is relabeled, the file's rows are written in
   /// internal (degree-ordered) order and a RELABEL_INV section is embedded
   /// so a later load reinstalls the maps — round-trips are id-invisible.
-  void save_csr_snapshot(const std::string& path, bool with_adjoin = false) const {
-    save_impl(path, nullptr, nullptr, with_adjoin);
-  }
+  void save_csr_snapshot(const std::string& path) const { save_impl(path, {}); }
 
   /// Compressing overload: target sections are StreamVByte-encoded (and
   /// duplicate hyperedges dictionary-deduplicated) per `opt` — see
   /// docs/IO_FORMATS.md §4.
-  void save_csr_snapshot(const std::string& path, const csr_compress_options& opt,
-                         bool with_adjoin = false) const {
-    save_impl(path, &opt, nullptr, with_adjoin);
+  void save_csr_snapshot(const std::string& path, const csr_compress_options& opt) const {
+    save_impl(path, {.compress = &opt});
   }
 
   /// Sharded overload: both CSRs sliced into contiguous hyperedge-range
   /// shards with independently mappable payloads (docs/IO_FORMATS.md §4.7);
   /// `shard.compress` selects SVB-coded shard slices.
-  void save_csr_snapshot(const std::string& path, const csr_shard_options& shard,
-                         bool with_adjoin = false) const {
-    save_impl(path, nullptr, &shard, with_adjoin);
+  void save_csr_snapshot(const std::string& path, const csr_shard_options& shard) const {
+    save_impl(path, {.shard = &shard});
   }
 
   // --- representation accessors -------------------------------------------
@@ -298,8 +272,6 @@ public:
     (void)composed();
     delta_.clear();
     adopt_generation(std::move(composed_));
-    // adjoin_ (when still cached) describes the same composed content and
-    // stays valid across a content-preserving compaction.
   }
 
   /// True while mutations are pending in the delta overlay.
@@ -319,24 +291,18 @@ public:
   [[nodiscard]] std::uint64_t version() const { return *version_; }
   [[nodiscard]] std::shared_ptr<const std::uint64_t> version_token() const { return version_; }
 
-  /// The adjoin representation, built on first use and cached; mutation
-  /// invalidates the cache and the next call rebuilds from the composed
-  /// edge list.
-  [[nodiscard]] const adjoin_graph& adjoin() const {
-    if (!adjoin_) {
-      // Cached adjoins always speak external ids (they survive a
-      // content-preserving relabel).
-      biedgelist<> scratch;
-      adjoin_ = build_adjoin(external_el(scratch));
-    }
-    return *adjoin_;
-  }
+  /// The adjoin representation: a row view over the live generation's two
+  /// CSRs (nwhy/adjoin.hpp), pinning that generation.  Nothing is built.
+  /// Its hyperedge ids are storage rows: on a relabeled hypergraph, row e
+  /// is external hyperedge relabel_inverse()[e].
+  [[nodiscard]] adjoin_graph adjoin() const { return adjoin_graph(live_generation()); }
 
   /// The dual hypergraph H*: hyperedges and hypernodes swap roles
   /// (transpose of the incidence matrix).  Composes base+delta.
   [[nodiscard]] NWHypergraph dual() const {
+    // The dual's node ids are our external edge ids.
     biedgelist<>        scratch;
-    const biedgelist<>& src = external_el(scratch);  // dual's node ids are our edge ids
+    const biedgelist<>& src = relabel_ ? (scratch = edge_list_in(nullptr)) : live().el;
     biedgelist<>        el(num_hypernodes(), num_hyperedges());
     el.reserve(src.size());
     for (std::size_t i = 0; i < src.size(); ++i) {
@@ -433,14 +399,22 @@ public:
     return r;
   }
 
-  /// AdjoinBFS / AdjoinCC through the adjoin representation (which itself
-  /// composes base+delta on rebuild).
+  /// AdjoinBFS / AdjoinCC over the adjoin view of the storage rows (the
+  /// composed generation while a delta is pending).  A relabeled
+  /// hypergraph maps the source in and the shared-id answers out through
+  /// relabel_maps: hyperedge ids translate, hypernode ids pass through.
   [[nodiscard]] adjoin_bfs_result bfs_adjoin(vertex_id_t source_edge) const {
-    return adjoin_bfs(adjoin(), source_edge);
+    auto r = adjoin_bfs(adjoin(), storage_edge_id(source_edge));
+    if (relabel_) relabel_->parents_to_external(r.parents_edge, r.parents_node, source_edge);
+    return r;
   }
   [[nodiscard]] adjoin_cc_result connected_components_adjoin(
       adjoin_cc_engine engine = adjoin_cc_engine::afforest) const {
-    return adjoin_cc(adjoin(), engine);
+    auto r = adjoin_cc(adjoin(), engine);
+    // Both engines name a component by its minimum shared id, a storage
+    // row whenever the component holds a hyperedge.
+    if (relabel_) r.labels_edge = relabel_->to_external_components(r.labels_edge, r.labels_node);
+    return r;
   }
 
   /// Toplexes (Algorithm 3).  A relabeled hypergraph runs the kernel over
@@ -478,7 +452,6 @@ public:
     rebuild_in(&maps);
     relabel_ = std::move(maps);
     refresh_relabel_degrees();
-    // adjoin_ (external-space) stays valid; content and version unchanged.
   }
 
   /// Undo relabel_by_degree: rebuild the storage in external-id order.
@@ -502,11 +475,7 @@ public:
 private:
   void init(biedgelist<> el) {
     el.sort_and_unique();  // canonical order: sorted incidence lists everywhere
-    auto gen        = std::make_shared<hypergraph_generation>();
-    gen->el         = std::move(el);
-    gen->hyperedges = biadjacency<0>(gen->el);
-    gen->hypernodes = biadjacency<1>(gen->el);
-    adopt_generation(std::move(gen));
+    adopt_generation(make_generation(std::move(el)));
   }
 
   /// Install `gen` as the live generation and derive the maintained state.
@@ -548,41 +517,12 @@ private:
   /// when `to` is null (content-preserving: same incidences under a
   /// bijection of edge ids).
   void rebuild_in(const relabel_maps* to) {
-    const std::uint64_t next_id = gen_->id + 1;
-    auto                gen     = std::make_shared<hypergraph_generation>();
-    gen->el         = edge_list_in(to);
-    gen->hyperedges = biadjacency<0>(gen->el);
-    gen->hypernodes = biadjacency<1>(gen->el);
-    gen->id         = next_id;
-    adopt_generation(std::move(gen));
+    adopt_generation(make_generation(edge_list_in(to), gen_->id + 1));
   }
 
-  static std::unique_ptr<adjoin_graph> build_adjoin(const biedgelist<>& el) {
-    std::size_t ne = 0, nv = 0;
-    auto        flat = make_adjoin_edge_list(el, ne, nv);
-    flat.sort_and_unique();
-    return std::make_unique<adjoin_graph>(
-        adjoin_graph{nw::graph::adjacency<>(flat, ne + nv), ne, nv});
-  }
-
-  void save_impl(const std::string& path, const csr_compress_options* compress,
-                 const csr_shard_options* shard, bool with_adjoin) const {
+  void save_impl(const std::string& path, csr_write_options wopt) const {
     require_compacted("save_csr_snapshot");
-    csr_write_options wopt;
-    wopt.compress    = compress;
-    wopt.shard       = shard;
     wopt.relabel_inv = relabel_inverse();
-    std::unique_ptr<adjoin_graph> internal_adjoin;
-    if (with_adjoin) {
-      if (relabel_) {
-        // The file's rows are internal-space, so its embedded adjoin must
-        // be too — the cached external adjoin() would not match.
-        internal_adjoin = build_adjoin(gen_->el);
-        wopt.adjoin     = internal_adjoin.get();
-      } else {
-        wopt.adjoin = &adjoin();
-      }
-    }
     write_csr_snapshot(path, gen_->hyperedges, gen_->hypernodes, wopt);
   }
 
@@ -623,7 +563,6 @@ private:
     } else {
       delta_.set(e, std::move(members));
     }
-    adjoin_.reset();
     composed_.reset();
     ++*version_;
   }
@@ -637,14 +576,19 @@ private:
   /// compacted, else the composed base+delta generation.  A relabeled state
   /// never has a pending delta, so relabeled reads always see the base.
   [[nodiscard]] const hypergraph_generation& live() const {
-    return delta_.empty() ? *gen_ : composed();
+    return delta_.empty() ? *gen_ : *composed();
+  }
+
+  /// live(), pinned: the shared_ptr a view over the live CSRs holds.
+  [[nodiscard]] std::shared_ptr<const hypergraph_generation> live_generation() const {
+    return delta_.empty() ? gen_ : composed();
   }
 
   /// The composed (base+delta) generation, built through the parallel
   /// from_thread_buffers pipeline and cached until the next mutation;
   /// compact() adopts it as the next base generation.
-  const hypergraph_generation& composed() const {
-    if (composed_) return *composed_;
+  const std::shared_ptr<hypergraph_generation>& composed() const {
+    if (composed_) return composed_;
     auto&             pool = par::thread_pool::default_pool();
     const std::size_t ne   = edge_degrees_.size();
     const std::size_t nv   = node_degrees_.size();
@@ -667,22 +611,10 @@ private:
           }
         },
         par::static_blocked{}, pool);
-    auto gen        = std::make_shared<hypergraph_generation>();
-    gen->el         = biedgelist<>::from_thread_buffers(buffers, ne, nv,
-                                                        par::merge_capacity::release, pool);
-    gen->hyperedges = biadjacency<0>(gen->el);
-    gen->hypernodes = biadjacency<1>(gen->el);
-    gen->id         = gen_->id + 1;
-    composed_       = std::move(gen);
-    return *composed_;
-  }
-
-  /// The live edge list in external ids and canonical order: the live
-  /// generation's own list, or (relabeled) a translated copy in `scratch`.
-  const biedgelist<>& external_el(biedgelist<>& scratch) const {
-    if (!relabel_) return live().el;
-    scratch = edge_list_in(nullptr);
-    return scratch;
+    composed_ = make_generation(
+        biedgelist<>::from_thread_buffers(buffers, ne, nv, par::merge_capacity::release, pool),
+        gen_->id + 1);
+    return composed_;
   }
 
   std::shared_ptr<const hypergraph_generation> gen_;
@@ -697,7 +629,6 @@ private:
   std::vector<std::size_t>                     edge_degrees_;
   std::vector<std::size_t>                     node_degrees_;
   std::size_t                                  num_incidences_ = 0;
-  mutable std::unique_ptr<adjoin_graph>        adjoin_;
   mutable std::shared_ptr<hypergraph_generation> composed_;
   std::shared_ptr<std::uint64_t> version_ = std::make_shared<std::uint64_t>(0);
 };

@@ -16,7 +16,8 @@
 // scatters its block in ascending old-id order — race-free and stable by
 // construction.  `relabel_maps` then owns every translation between
 // storage rows and external ids — point lookups, id arrays, per-row value
-// arrays, component labels and BFS results — so relabeling stays invisible
+// arrays, component labels and BFS results (bipartite and adjoin) — so
+// relabeling stays invisible
 // to callers (verified by the differential ladder).
 #pragma once
 
@@ -114,19 +115,28 @@ struct relabel_maps {
   [[nodiscard]] hyper_bfs_result to_external(
       hyper_bfs_result r, nw::vertex_id_t source,
       par::thread_pool& pool = par::thread_pool::default_pool()) const {
-    r.dist_edge    = to_external_order(r.dist_edge, pool);
-    r.parents_edge = to_external_order(r.parents_edge, pool);
+    r.dist_edge = to_external_order(r.dist_edge, pool);
+    parents_to_external(r.parents_edge, r.parents_node, source, pool);
+    return r;
+  }
+
+  /// The parent half of to_external, which AdjoinBFS shares: its hyperedge
+  /// parents are hypernodes too (shared ids >= nE, which never move) and
+  /// its hypernode parents storage rows.
+  void parents_to_external(std::vector<nw::vertex_id_t>& parents_edge,
+                           std::vector<nw::vertex_id_t>& parents_node, nw::vertex_id_t source,
+                           par::thread_pool& pool = par::thread_pool::default_pool()) const {
+    parents_edge = to_external_order(parents_edge, pool);
     par::parallel_for(
-        0, r.parents_node.size(),
+        0, parents_node.size(),
         [&](std::size_t v) {
-          nw::vertex_id_t& p = r.parents_node[v];
+          nw::vertex_id_t& p = parents_node[v];
           if (p != null_vertex<>) p = inv[p];
         },
         par::blocked{}, pool);
-    if (source < r.parents_edge.size() && r.parents_edge[source] != null_vertex<>) {
-      r.parents_edge[source] = source;
+    if (source < parents_edge.size() && parents_edge[source] != null_vertex<>) {
+      parents_edge[source] = source;
     }
-    return r;
   }
 };
 

@@ -9,7 +9,7 @@
 //     after construction, so any number of worker threads may execute
 //     queries against it with no locks.  Queries run the library engines
 //     directly on the generation CSRs, not through `NWHypergraph`, whose
-//     lazily built caches (adjoin/composed) make its const calls
+//     lazily built composed-generation cache makes its const calls
 //     thread-unsafe.
 //
 //   * One engine per query.  bfs is hyper_bfs; neighbors, s_distance,

@@ -23,11 +23,13 @@
 //   edges: hyperedge id -> incident hypernode ids
 //   nodes: hypernode id -> incident hyperedge ids
 // For the bipartite representation these are biadjacency<0>/<1>; for the
-// adjoin representation, pass the same adjoin CSR as both (hypernode
+// adjoin representation, pass the same adjoin view as both (hypernode
 // neighborhoods are hyperedge ids and vice versa by construction).
 // Dually, swapping the roles of edges/nodes yields the s-clique graph, whose
 // s = 1 case is the clique expansion.
 //
+// Every entry point requires s >= 1 (NW_ASSERT): an overlap of 0 is not an
+// adjacency, and the algorithms would disagree about it.
 // All functions return an edge list containing each line-graph edge once,
 // as {min(e_i, e_j), max(e_i, e_j)} pairs in whatever id space the inputs
 // use.  Neighbor lists must be sorted ascending (the intersection variants
@@ -166,6 +168,7 @@ nw::graph::edge_list<> to_two_graph_naive(const EGraph& edges, const NGraph& nod
                                           const std::vector<std::size_t>& edge_degrees,
                                           std::size_t s) {
   (void)nodes;
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   NWOBS_SCOPE_TIMER("slinegraph.naive");
   const std::size_t ne  = edges.size();
   auto&             out = detail::pair_buffers(0);
@@ -234,6 +237,7 @@ nw::graph::edge_list<> to_two_graph_intersection(const EGraph& edges, const NGra
                                                  std::size_t s, std::size_t id_bound = 0,
                                                  Partition part = {}) {
   NWOBS_SCOPE_TIMER("slinegraph.intersection");
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   const std::size_t ne    = edges.size();
   const std::size_t bound = id_bound != 0 ? id_bound : ne;
   auto&             out   = detail::pair_buffers(0);
@@ -283,6 +287,7 @@ std::size_t count_overlaps(Row&& row, const NGraph& nodes, Keep keep,
 template <class EGraph, class NGraph, class IdOf, class Partition, class Emit>
 void overlap_pass(const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& deg,
                   std::size_t s, std::size_t n, IdOf id_of, Partition part, Emit emit) {
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   par::per_thread<counting_hashmap<>> maps;
   par::parallel_for(
       0, n,
@@ -397,6 +402,7 @@ nw::graph::edge_list<> to_two_graph_queue_intersection(
     const std::vector<std::size_t>& edge_degrees, std::size_t s, std::size_t id_bound,
     Partition part = {}) {
   NWOBS_SCOPE_TIMER("slinegraph.queue_intersection");
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   NWOBS_GAUGE_MAX("slinegraph.alg2_queue_occupancy", queue.size());
   // Phase 1: enqueue candidate pairs.  Candidate discovery is attributed to
   // the worker that found it (per-thread counts, merged on read) — the
@@ -485,6 +491,7 @@ nw::graph::edge_list<> to_two_graph_neighbor_range(const EGraph& edges, const NG
                                                    const std::vector<std::size_t>& edge_degrees,
                                                    std::size_t s, std::size_t num_bins = 0) {
   NWOBS_SCOPE_TIMER("slinegraph.neighbor_range");
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   const std::size_t ne  = edges.size();
   auto&             out = detail::pair_buffers(0);
   par::per_thread<counting_hashmap<>> maps;

@@ -104,6 +104,7 @@ template <class EGraph, class NGraph, class Stop = par::never_stop>
 std::vector<vertex_id_t> s_connected_components_implicit(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
     std::size_t s, Stop stop = {}, par::thread_pool& pool = par::thread_pool::default_pool()) {
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   const std::size_t        ne = edges.size();
   std::vector<vertex_id_t> comp(ne, null_vertex<>);
   detail::s_bfs_scratch    ws(ne, pool);
@@ -125,6 +126,7 @@ std::vector<vertex_id_t> s_bfs_distances_implicit(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
     std::size_t s, vertex_id_t src, Stop stop = {},
     par::thread_pool& pool = par::thread_pool::default_pool()) {
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   std::vector<vertex_id_t> dist(edges.size(), null_vertex<>);
   dist[src] = 0;
   detail::s_bfs_scratch ws(edges.size(), pool);
@@ -141,6 +143,7 @@ std::optional<std::size_t> s_distance_implicit(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
     std::size_t s, vertex_id_t src, vertex_id_t dst, Stop stop = {},
     par::thread_pool& pool = par::thread_pool::default_pool()) {
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   if (src >= edge_degrees.size() || dst >= edge_degrees.size()) return std::nullopt;
   if (edge_degrees[src] < s || edge_degrees[dst] < s) return std::nullopt;
   if (src == dst) return 0;
@@ -160,6 +163,7 @@ template <class EGraph, class NGraph>
 std::vector<vertex_id_t> s_neighbors_implicit(const EGraph& edges, const NGraph& nodes,
                                               const std::vector<std::size_t>& edge_degrees,
                                               std::size_t s, vertex_id_t ei) {
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   std::vector<vertex_id_t> out;
   counting_hashmap<>       overlap;
   detail::for_each_s_neighbor(edges, nodes, edge_degrees, s, ei, overlap,

@@ -29,6 +29,7 @@ nw::graph::edge_list<std::uint32_t> to_two_graph_weighted(
     const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& edge_degrees,
     std::size_t s, Partition part = {}, std::span<const vertex_id_t> id_map = {}) {
   NWOBS_SCOPE_TIMER("slinegraph.weighted");
+  NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   // entry == edge_list<uint32_t>::value_type: (e_i, e_j, |e_i ∩ e_j|).
   using entry = nw::graph::edge_list<std::uint32_t>::value_type;
   par::per_thread<std::vector<entry>> out;

@@ -105,9 +105,15 @@ inline std::string profile_json() {
   for (const char* name : detail::recorded_env) {
     out += first ? "\n" : ",\n";
     first = false;
+    // Appended piecewise: a temporary operator+ chain here trips GCC 12's
+    // -Wrestrict false positive at -O3.
     const char* v = std::getenv(name);
-    out += "    \"" + std::string(name) + "\": ";
-    out += v ? "\"" + json_escape(v) + "\"" : std::string("null");
+    out.append("    \"").append(name).append("\": ");
+    if (v) {
+      out.append("\"").append(json_escape(v)).append("\"");
+    } else {
+      out.append("null");
+    }
   }
   out += "\n  },\n";
   out += "  \"threads\": " +

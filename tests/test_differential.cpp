@@ -240,23 +240,23 @@ TEST(Differential, AdjoinQueueConstructionMatchesSerialOracle) {
       NWHY_SEED_TRACE(seed);
       NWHypergraph hg(gen::arbitrary_hypergraph(seed));
       auto         inc    = ref::from_biedgelist(hg.edge_list());
-      const auto&  adjoin = hg.adjoin();
+      const auto   adjoin = hg.adjoin();
 
       // Work queue = hyperedge ids inside the shared index set ([0, nE));
       // degrees indexed by shared id.
-      std::vector<vertex_id_t> queue(adjoin.nrealedges);
+      std::vector<vertex_id_t> queue(adjoin.nrealedges());
       detail::iota_queue(queue);
-      std::vector<std::size_t> adjoin_degrees = adjoin.graph.degrees();
+      std::vector<std::size_t> adjoin_degrees = adjoin.degrees();
 
       for (std::size_t s : kSValues) {
         SCOPED_TRACE("s=" + std::to_string(s));
         auto expected = ref::s_line_edges(inc, s);
         EXPECT_EQ(nwtest::canonical_pairs(to_two_graph_queue_hashmap(
-                      queue, adjoin.graph, adjoin.graph, adjoin_degrees, s, adjoin.nrealedges)),
+                      queue, adjoin, adjoin, adjoin_degrees, s, adjoin.nrealedges())),
                   expected)
             << "queue_hashmap on adjoin";
         EXPECT_EQ(nwtest::canonical_pairs(to_two_graph_queue_intersection(
-                      queue, adjoin.graph, adjoin.graph, adjoin_degrees, s, adjoin.nrealedges)),
+                      queue, adjoin, adjoin, adjoin_degrees, s, adjoin.nrealedges())),
                   expected)
             << "queue_intersection on adjoin";
       }

@@ -651,9 +651,7 @@ TEST(WriteHardening, StreamWriteFailuresThrowIoError) {
   }
   {
     std::ostream out(&buf);
-    EXPECT_THROW(
-        write_csr_snapshot(out, h.hyperedges(), h.hypernodes(), nullptr, /*canonical=*/true),
-        io_error);
+    EXPECT_THROW(write_csr_snapshot(out, h.hyperedges(), h.hypernodes()), io_error);
   }
 }
 

@@ -30,8 +30,7 @@ struct shape {
     auto nd         = hn.degrees();
     edge_stats      = nw::compute_degree_stats(std::span<const std::size_t>(ed));
     node_stats      = nw::compute_degree_stats(std::span<const std::size_t>(nd));
-    auto adjoin     = make_adjoin_graph(el);
-    auto labels     = nw::graph::cc_afforest(adjoin.graph);
+    auto labels     = nw::graph::cc_afforest(nwtest::adjoin_of(el));
     components      = nw::graph::count_components(labels);
   }
 };

@@ -219,21 +219,28 @@ TEST(Cc, AfforestStressAtFourThreadsTerminates) {
   nwtest::concurrency_guard    guard;
   nw::hypergraph::NWHypergraph h(
       nw::hypergraph::gen::powerlaw_hypergraph(8000, 40000, 128, 1.2, 0.8, 8000));
-  const auto                        s2 = h.make_s_linegraph(2);
-  const auto                        s8 = h.make_s_linegraph(8);
-  const std::vector<const adjacency<>*> graphs{&s2.graph(), &s8.graph(), &h.adjoin().graph};
+  const auto s2     = h.make_s_linegraph(2);
+  const auto s8     = h.make_s_linegraph(8);
+  const auto adjoin = h.adjoin();
+  // Graph i of the three, handed to `fn`.
+  const auto on_graph = [&](std::size_t i, auto fn) {
+    return i == 0 ? fn(s2.graph()) : i == 1 ? fn(s8.graph()) : fn(adjoin);
+  };
+  const auto afforest = [](const auto& g) { return cc_afforest(g); };
+  constexpr std::size_t num_graphs = 3;
   nw::par::thread_pool::set_default_concurrency(1);
   std::vector<std::vector<vertex_id_t>> want;
-  for (const auto* g : graphs) {
-    want.push_back(cc_afforest(*g));
-    ASSERT_TRUE(same_partition(want.back(), reference_components(*g)));
+  for (std::size_t i = 0; i < num_graphs; ++i) {
+    want.push_back(on_graph(i, afforest));
+    ASSERT_TRUE(same_partition(
+        want.back(), on_graph(i, [](const auto& g) { return reference_components(g); })));
   }
   nw::par::thread_pool::set_default_concurrency(4);
   // Labels are each component's minimum id, so every run matches exactly.
   const std::uint64_t iters = 25 * nwtest::env_u64("NWHY_TEST_ITERS", 24);
   for (std::uint64_t it = 0; it < iters; ++it) {
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      ASSERT_EQ(cc_afforest(*graphs[i]), want[i]) << "iteration " << it << ", graph " << i;
+    for (std::size_t i = 0; i < num_graphs; ++i) {
+      ASSERT_EQ(on_graph(i, afforest), want[i]) << "iteration " << it << ", graph " << i;
     }
   }
 }

@@ -20,26 +20,26 @@ using nwtest::same_partition;
 namespace {
 
 struct hypergraph_fixture {
-  biedgelist<>   el;
-  biadjacency<0> hyperedges;
-  biadjacency<1> hypernodes;
-  adjoin_graph   adjoin;
+  std::shared_ptr<const hypergraph_generation> gen;
+  const biedgelist<>&                          el;
+  const biadjacency<0>&                        hyperedges;
+  const biadjacency<1>&                        hypernodes;
+  adjoin_graph                                 adjoin;
 
-  explicit hypergraph_fixture(biedgelist<> input) {
-    input.sort_and_unique();
-    el         = std::move(input);
-    hyperedges = biadjacency<0>(el);
-    hypernodes = biadjacency<1>(el);
-    adjoin     = make_adjoin_graph(el);
-  }
+  explicit hypergraph_fixture(biedgelist<> input)
+      : gen(make_generation((input.sort_and_unique(), std::move(input)))),
+        el(gen->el),
+        hyperedges(gen->hyperedges),
+        hypernodes(gen->hypernodes),
+        adjoin(gen) {}
 };
 
 /// Reference distances on the adjoin graph from hyperedge `src`: even depths
 /// are hyperedges, odd depths hypernodes.
 std::pair<std::vector<vertex_id_t>, std::vector<vertex_id_t>> reference_hyper_distances(
     const hypergraph_fixture& h, vertex_id_t src) {
-  auto dist = nwtest::reference_bfs_distances(h.adjoin.graph, src);
-  auto [de, dn] = split_results(dist, h.adjoin.nrealedges);
+  auto dist = nwtest::reference_bfs_distances(h.adjoin, src);
+  auto [de, dn] = split_results(dist, h.adjoin.nrealedges());
   return {de, dn};
 }
 
@@ -178,7 +178,7 @@ TEST_P(CcEquivalenceParam, AllEnginesInduceSamePartition) {
     all.insert(all.end(), n.begin(), n.end());
     return all;
   };
-  auto ref = nwtest::reference_components(h.adjoin.graph);
+  auto ref = nwtest::reference_components(h.adjoin);
   EXPECT_TRUE(same_partition(combine(hyper.labels_edge, hyper.labels_node), ref));
   EXPECT_TRUE(same_partition(combine(aff.labels_edge, aff.labels_node), ref));
   EXPECT_TRUE(same_partition(combine(lp.labels_edge, lp.labels_node), ref));

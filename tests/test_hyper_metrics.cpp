@@ -89,9 +89,9 @@ TEST(HyperPagerank, AgreesWithAdjoinGraphPagerank) {
   el.sort_and_unique();
   fixture f(el);
   auto    exact  = hyper_pagerank(f.hyperedges, f.hypernodes, 0.85, 1e-13, 500);
-  auto    adjoin = make_adjoin_graph(el);
-  auto    full   = nw::graph::pagerank(adjoin.graph, 0.85, 1e-13, 500);
-  auto [edge_part, node_part] = split_results(full, adjoin.nrealedges);
+  auto    adjoin = nwtest::adjoin_of(el);
+  auto    full   = nw::graph::pagerank(adjoin, 0.85, 1e-13, 500);
+  auto [edge_part, node_part] = split_results(full, adjoin.nrealedges());
   double  a = 0, b = 0;
   for (auto x : node_part) a += x;
   for (auto x : exact.rank_node) b += x;

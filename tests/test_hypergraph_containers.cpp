@@ -145,24 +145,22 @@ TEST(Biadjacency, IsolatedEntitiesHaveZeroDegree) {
 TEST(Adjoin, StructureMatchesDefinition) {
   auto el = nwtest::figure1_hypergraph();
   el.sort_and_unique();
-  auto g = make_adjoin_graph(el);
-  EXPECT_EQ(g.nrealedges, 4u);
-  EXPECT_EQ(g.nrealnodes, 9u);
+  auto g = nwtest::adjoin_of(el);
+  EXPECT_EQ(g.nrealedges(), 4u);
+  EXPECT_EQ(g.nrealnodes(), 9u);
   EXPECT_EQ(g.num_ids(), 13u);
-  EXPECT_EQ(g.graph.size(), 13u);
+  EXPECT_EQ(g.size(), 13u);
   // Twice the incidences (both directions).
-  EXPECT_EQ(g.graph.num_edges(), 2 * el.size());
+  EXPECT_EQ(g.num_edges(), 2 * el.size());
 }
 
 TEST(Adjoin, BipartiteBlockStructure) {
   // A_G = [[0, Bt], [B, 0]]: hyperedge ids only neighbor hypernode ids and
   // vice versa — no edge-edge or node-node adjacency.
-  auto el = nwtest::figure1_hypergraph();
-  el.sort_and_unique();
-  auto g = make_adjoin_graph(el);
+  auto g = nwtest::adjoin_of(nwtest::figure1_hypergraph());
   for (std::size_t u = 0; u < g.num_ids(); ++u) {
     bool u_is_edge = g.is_edge_id(static_cast<vertex_id_t>(u));
-    for (auto&& e : g.graph[u]) {
+    for (auto&& e : g[u]) {
       bool v_is_edge = g.is_edge_id(nw::graph::target(e));
       EXPECT_NE(u_is_edge, v_is_edge) << "same-class adjacency at " << u;
     }
@@ -170,13 +168,11 @@ TEST(Adjoin, BipartiteBlockStructure) {
 }
 
 TEST(Adjoin, SymmetricAdjacency) {
-  auto el = nwtest::figure1_hypergraph();
-  el.sort_and_unique();
-  auto g = make_adjoin_graph(el);
+  auto g = nwtest::adjoin_of(nwtest::figure1_hypergraph());
   for (std::size_t u = 0; u < g.num_ids(); ++u) {
-    for (auto&& e : g.graph[u]) {
+    for (auto&& e : g[u]) {
       vertex_id_t v     = nw::graph::target(e);
-      auto        back  = g.graph[v];
+      auto        back  = g[v];
       bool        found = std::find(back.begin(), back.end(), u) != back.end();
       EXPECT_TRUE(found);
     }
@@ -188,26 +184,24 @@ TEST(Adjoin, DegreesMatchBipartiteSides) {
   el.sort_and_unique();
   biadjacency<0> hyperedges(el);
   biadjacency<1> hypernodes(el);
-  auto           g = make_adjoin_graph(el);
+  auto           g = nwtest::adjoin_of(el);
   for (std::size_t e = 0; e < hyperedges.size(); ++e) {
-    EXPECT_EQ(g.graph.degree(e), hyperedges.degree(e));
+    EXPECT_EQ(g.degree(e), hyperedges.degree(e));
   }
   for (std::size_t v = 0; v < hypernodes.size(); ++v) {
-    EXPECT_EQ(g.graph.degree(g.node_to_adjoin(static_cast<vertex_id_t>(v))),
+    EXPECT_EQ(g.degree(g.node_to_adjoin(static_cast<vertex_id_t>(v))),
               hypernodes.degree(v));
   }
 }
 
 TEST(Adjoin, IdMappingRoundTrips) {
-  auto el = nwtest::figure1_hypergraph();
-  el.sort_and_unique();
-  auto g = make_adjoin_graph(el);
-  for (vertex_id_t v = 0; v < g.nrealnodes; ++v) {
+  auto g = nwtest::adjoin_of(nwtest::figure1_hypergraph());
+  for (vertex_id_t v = 0; v < g.nrealnodes(); ++v) {
     auto shared = g.node_to_adjoin(v);
     EXPECT_FALSE(g.is_edge_id(shared));
     EXPECT_EQ(g.adjoin_to_node(shared), v);
   }
-  for (vertex_id_t e = 0; e < g.nrealedges; ++e) EXPECT_TRUE(g.is_edge_id(e));
+  for (vertex_id_t e = 0; e < g.nrealedges(); ++e) EXPECT_TRUE(g.is_edge_id(e));
 }
 
 TEST(Adjoin, SplitResultsPartitionsArray) {
@@ -217,13 +211,23 @@ TEST(Adjoin, SplitResultsPartitionsArray) {
   EXPECT_EQ(nodes, (std::vector<int>{20, 21}));
 }
 
+// The paper's Listing 2 reader flattens a file straight into the adjoin
+// edge list and reports both partition sizes.
 TEST(Adjoin, EdgeListReaderOutputsCardinalities) {
-  auto el = nwtest::figure1_hypergraph();
-  el.sort_and_unique();
   std::size_t ne = 0, nv = 0;
-  auto        flat = make_adjoin_edge_list(el, ne, nv);
+  auto        flat = graph_reader_adjoin(NWHY_TEST_DATA_DIR "/fig1.mtx", ne, nv);
   EXPECT_EQ(ne, 4u);
   EXPECT_EQ(nv, 9u);
-  EXPECT_EQ(flat.size(), 2 * el.size());
+  EXPECT_EQ(flat.size(), 2 * nwtest::figure1_hypergraph().size());
   EXPECT_EQ(flat.num_vertices(), 13u);
+}
+
+// Shared ids are vertex_id_t with null_vertex<> reserved, so a generation
+// whose nE + nV ids would wrap is refused when the view is built (here a
+// one-row E2N CSR declaring 2^32 - 1 hypernodes, without allocating them).
+TEST(Adjoin, RejectsIdSpaceOverflow) {
+  auto gen        = std::make_shared<hypergraph_generation>();
+  gen->hyperedges = biadjacency<0>::from_csr(
+      nw::graph::adjacency<>::from_csr_vectors({0, 0}, {}, 1), 1, nw::null_vertex<>);
+  EXPECT_THROW((void)adjoin_graph(gen), std::length_error);
 }

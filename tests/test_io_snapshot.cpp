@@ -38,6 +38,10 @@ using nw::vertex_id_t;
 
 namespace {
 
+/// Figure 1 as an older writer stored it with `convert --adjoin`: the
+/// HAS_ADJOIN flag plus the adjoin CSR as section kinds 5/6.
+const std::string kLegacyAdjoinSnapshot = NWHY_TEST_DATA_DIR "/fig1_adjoin.nwcsr";
+
 /// A unique scratch path per test, removed on destruction.
 struct scratch_file {
   std::string path;
@@ -256,6 +260,7 @@ TEST(CsrSnapshot, StreamAndMmapReadersAgree) {
   NWHypergraph hg(el);
   NWHypergraph relabeled(el);
   relabeled.relabel_by_degree();
+  NWHypergraph fig1(nwtest::figure1_hypergraph());
 
   csr_shard_options raw_shards;
   raw_shards.shards = 3;
@@ -271,7 +276,11 @@ TEST(CsrSnapshot, StreamAndMmapReadersAgree) {
   const variant variants[] = {
       {"plain", hg, [&](const std::string& p) { hg.save_csr_snapshot(p); },
        snapshot_decode::materialize, true},
-      {"adjoin", hg, [&](const std::string& p) { hg.save_csr_snapshot(p, true); },
+      {"legacy adjoin", fig1,
+       [](const std::string& p) {
+         std::filesystem::copy_file(kLegacyAdjoinSnapshot, p,
+                                    std::filesystem::copy_options::overwrite_existing);
+       },
        snapshot_decode::materialize, true},
       {"compressed+dict", hg,
        [&](const std::string& p) { hg.save_csr_snapshot(p, csr_compress_options{}); },
@@ -314,8 +323,7 @@ TEST(CsrSnapshot, StreamAndMmapReadersAgree) {
     expect_same_csr(csr_of(mapped, 0), csr_of(streamed, 0));
     expect_same_csr(csr_of(mapped, 1), csr_of(streamed, 1));
     EXPECT_EQ(mapped.relabel_inv, streamed.relabel_inv);
-    ASSERT_EQ(mapped.adjoin.has_value(), streamed.adjoin.has_value());
-    if (mapped.adjoin) expect_same_csr(mapped.adjoin->graph, streamed.adjoin->graph);
+    EXPECT_EQ(mapped.flags, streamed.flags);
 #endif
   }
 }
@@ -347,20 +355,6 @@ TEST(CsrSnapshot, PipeStreamLargerThanOneChunkRoundTrips) {
   // Truncated by one byte, the same pipe fails as truncation.
   pipe_input cut(bytes.substr(0, bytes.size() - 1));
   EXPECT_THROW(read_csr_snapshot(cut.in), io_error);
-}
-
-TEST(CsrSnapshot, AdjoinSectionRoundTrips) {
-  NWHypergraph hg(gen::arbitrary_hypergraph(0xADA0));
-  scratch_file f("adjoin");
-  hg.save_csr_snapshot(f.path, /*with_adjoin=*/true);
-  auto snap = load_csr_snapshot(f.path, /*verify_checksums=*/true);
-  ASSERT_TRUE(snap.adjoin.has_value());
-  EXPECT_EQ(snap.adjoin->nrealedges, hg.num_hyperedges());
-  EXPECT_EQ(snap.adjoin->nrealnodes, hg.num_hypernodes());
-  expect_same_csr(snap.adjoin->graph, hg.adjoin().graph);
-  // Adoption installs the cached adjoin without a rebuild.
-  NWHypergraph loaded(std::move(snap));
-  expect_same_csr(loaded.adjoin().graph, hg.adjoin().graph);
 }
 
 TEST(CsrSnapshot, NWHypergraphAdoptionPreservesAlgorithms) {
@@ -403,7 +397,7 @@ TEST(CsrSnapshot, EmptyHypergraphRoundTrips) {
 TEST(CsrSnapshot, NonCanonicalSnapshotTriggersRebuild) {
   NWHypergraph hg(gen::arbitrary_hypergraph(0xDEC0));
   scratch_file f("noncanon");
-  write_csr_snapshot(f.path, hg.hyperedges(), hg.hypernodes(), nullptr, /*canonical=*/false);
+  write_csr_snapshot(f.path, hg.hyperedges(), hg.hypernodes(), {.canonical = false});
   auto snap = load_csr_snapshot(f.path);
   EXPECT_FALSE(snap.canonical());
   NWHypergraph rebuilt(std::move(snap));  // falls back to sort_and_unique + rebuild
@@ -795,6 +789,55 @@ NWHypergraph duplicated_rows_hypergraph() {
 }
 
 }  // namespace
+
+// --- legacy adjoin sections -------------------------------------------------------
+//
+// Writers no longer emit HAS_ADJOIN or kinds 5/6 (the adjoin graph is a view
+// over the two CSRs), but readers accept files that carry them: both load
+// paths adopt the bi-adjacency pair, keep the flag, and never decode the
+// adjoin sections.
+
+TEST(CsrSnapshot, LegacyAdjoinSnapshotAnswersAsPlainFigure1) {
+  NWHypergraph              plain(nwtest::figure1_hypergraph());
+  std::vector<csr_snapshot> loads;
+  {
+    std::ifstream in(kLegacyAdjoinSnapshot, std::ios::binary);
+    loads.push_back(read_csr_snapshot(in, kLegacyAdjoinSnapshot));
+  }
+  loads.push_back(load_csr_snapshot(kLegacyAdjoinSnapshot, /*verify_checksums=*/true));
+  for (auto& snap : loads) {
+    EXPECT_NE(snap.flags & csr_flag_has_adjoin, 0u);
+    expect_same_csr(snap.edges.csr(), plain.hyperedges().csr());
+    expect_same_csr(snap.nodes.csr(), plain.hypernodes().csr());
+    NWHypergraph hg(std::move(snap));
+    for (vertex_id_t e = 0; e < plain.num_hyperedges(); ++e) {
+      EXPECT_EQ(hg.bfs(e).dist_edge, plain.bfs(e).dist_edge);
+      EXPECT_EQ(adjoin_bfs_distances(hg.adjoin(), e), adjoin_bfs_distances(plain.adjoin(), e));
+    }
+    EXPECT_EQ(hg.connected_components().labels_edge, plain.connected_components().labels_edge);
+    for (auto engine : {adjoin_cc_engine::afforest, adjoin_cc_engine::label_propagation}) {
+      auto got  = hg.connected_components_adjoin(engine);
+      auto want = plain.connected_components_adjoin(engine);
+      EXPECT_EQ(got.labels_edge, want.labels_edge);
+      EXPECT_EQ(got.labels_node, want.labels_node);
+    }
+    EXPECT_EQ(hg.toplexes(), plain.toplexes());
+  }
+}
+
+// Never decoded is not never read: a verified load hashes kinds 5/6 like
+// every other listed section, so a flipped byte there is still io_error.
+TEST(CsrSnapshot, LegacyAdjoinSectionsAreChecksummed) {
+  std::string bytes = slurp(kLegacyAdjoinSnapshot);
+  const auto  sec   = section_index_by_kind(bytes, csr_sec_adjoin_targets);
+  ASSERT_NE(sec, std::string::npos);
+  bytes[section_offset(bytes, sec) + 5] ^= 0x01;
+  scratch_file f("legacy_flip");
+  dump(f.path, bytes);
+  EXPECT_THROW(load_csr_snapshot(f.path, /*verify_checksums=*/true), io_error);
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(read_csr_snapshot(in), io_error);
+}
 
 TEST(CsrSnapshotCompressed, RejectsTruncationInsideCompressedPayloads) {
   NWHypergraph hg(gen::arbitrary_hypergraph(0x7A17));

@@ -30,13 +30,25 @@ TEST(NWHypergraph, DuplicateIncidencesCollapse) {
   EXPECT_EQ(hg.num_incidences(), 1u);
 }
 
-TEST(NWHypergraph, AdjoinIsCachedAndConsistent) {
+// The facade's adjoin view reads the same rows as an adjacency<> built
+// independently from the paper's Listing 2 reader (graph_reader_adjoin).
+TEST(NWHypergraph, AdjoinViewMatchesListing2Reader) {
   NWHypergraph hg(nwtest::figure1_hypergraph());
-  const auto&  a1 = hg.adjoin();
-  const auto&  a2 = hg.adjoin();
-  EXPECT_EQ(&a1, &a2);  // cached, not rebuilt
-  EXPECT_EQ(a1.nrealedges, hg.num_hyperedges());
-  EXPECT_EQ(a1.nrealnodes, hg.num_hypernodes());
+  const auto   g = hg.adjoin();
+  EXPECT_EQ(g.nrealedges(), hg.num_hyperedges());
+  EXPECT_EQ(g.nrealnodes(), hg.num_hypernodes());
+  std::size_t ne = 0, nv = 0;
+  auto        flat = graph_reader_adjoin(NWHY_TEST_DATA_DIR "/fig1.mtx", ne, nv);
+  flat.sort_and_unique();
+  nw::graph::adjacency<> csr(flat, ne + nv);
+  ASSERT_EQ(g.size(), csr.size());
+  EXPECT_EQ(g.num_edges(), csr.num_edges());
+  EXPECT_EQ(g.degrees(), csr.degrees());
+  for (std::size_t u = 0; u < g.size(); ++u) {
+    EXPECT_EQ(std::vector<vertex_id_t>(g[u].begin(), g[u].end()),
+              std::vector<vertex_id_t>(csr[u].begin(), csr[u].end()))
+        << "row " << u;
+  }
 }
 
 TEST(NWHypergraph, BothCcEnginesAgreeOnFacade) {

@@ -11,6 +11,8 @@
 #include "nwhy/biadjacency.hpp"
 #include "nwhy/gen/generators.hpp"
 #include "nwhy/slinegraph/construction.hpp"
+#include "nwhy/slinegraph/implicit.hpp"
+#include "nwhy/slinegraph/weighted.hpp"
 #include "test_util.hpp"
 
 using namespace nw::hypergraph;
@@ -70,6 +72,19 @@ TEST(SLineGraph, Figure5ExactEdgeSets) {
   // s = 3: empty.
   auto l3 = canonical_pairs(to_two_graph_hashmap(f.hyperedges, f.hypernodes, f.degrees, 3));
   EXPECT_TRUE(l3.empty());
+}
+
+// s counts shared members, so s = 0 is a precondition violation at every
+// kernel entry point (the hashmap and naive builds would disagree on it:
+// 3 pairs against 6 on Figure 1).
+TEST(SLineGraph, KernelsRejectZeroS) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  fixture f(nwtest::figure1_hypergraph());
+  EXPECT_DEATH(to_two_graph_hashmap(f.hyperedges, f.hypernodes, f.degrees, 0), "s >= 1");
+  EXPECT_DEATH(to_two_graph_naive(f.hyperedges, f.hypernodes, f.degrees, 0), "s >= 1");
+  EXPECT_DEATH(to_two_graph_weighted(f.hyperedges, f.hypernodes, f.degrees, 0), "s >= 1");
+  EXPECT_DEATH(s_connected_components_implicit(f.hyperedges, f.hypernodes, f.degrees, 0),
+               "s >= 1");
 }
 
 TEST(SLineGraph, CliqueExpansionOfFigure1) {
@@ -194,22 +209,22 @@ TEST_P(AdjoinQueueParam, QueueAlgorithmsWorkOnAdjoinGraph) {
   std::size_t s = GetParam();
   auto        raw = build_community();
   fixture     f(std::move(raw));
-  auto        adjoin = make_adjoin_graph(f.el);
+  auto        adjoin = nwtest::adjoin_of(f.el);
 
   // Work queue = the hyperedge ids inside the shared index set ([0, nE)).
-  std::vector<vertex_id_t> queue(adjoin.nrealedges);
+  std::vector<vertex_id_t> queue(adjoin.nrealedges());
   for (std::size_t i = 0; i < queue.size(); ++i) queue[i] = static_cast<vertex_id_t>(i);
   // Degrees indexed by shared id; hyperedge part is what the kernel reads.
-  std::vector<std::size_t> adjoin_degrees = adjoin.graph.degrees();
+  std::vector<std::size_t> adjoin_degrees = adjoin.degrees();
 
   auto expected = brute_force_slinegraph(f, s);
 
-  auto q1 = canonical_pairs(to_two_graph_queue_hashmap(queue, adjoin.graph, adjoin.graph,
-                                                       adjoin_degrees, s, adjoin.nrealedges));
+  auto q1 = canonical_pairs(to_two_graph_queue_hashmap(queue, adjoin, adjoin, adjoin_degrees, s,
+                                                       adjoin.nrealedges()));
   EXPECT_EQ(q1, expected);
 
   auto q2 = canonical_pairs(to_two_graph_queue_intersection(
-      queue, adjoin.graph, adjoin.graph, adjoin_degrees, s, adjoin.nrealedges));
+      queue, adjoin, adjoin, adjoin_degrees, s, adjoin.nrealedges()));
   EXPECT_EQ(q2, expected);
 }
 

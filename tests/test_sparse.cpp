@@ -189,9 +189,9 @@ TEST_P(GraphBlasParam, SpmvBfsMatchesAdjacencyBfs) {
   el.sort_and_unique();
   auto b      = mat::from_incidence(el);
   auto a      = nw::sparse::adjoin_matrix(b);
-  auto adjoin = make_adjoin_graph(el);
+  auto adjoin = nwtest::adjoin_of(el);
   auto matrix_levels = nw::sparse::bfs_levels_spmv(a, 0);
-  auto list_levels   = nwtest::reference_bfs_distances(adjoin.graph, 0);
+  auto list_levels   = nwtest::reference_bfs_distances(adjoin, 0);
   EXPECT_EQ(matrix_levels, list_levels);
 }
 
@@ -200,9 +200,9 @@ TEST_P(GraphBlasParam, SpmvCcMatchesAdjacencyCc) {
   el.sort_and_unique();
   auto b      = mat::from_incidence(el);
   auto a      = nw::sparse::adjoin_matrix(b);
-  auto adjoin = make_adjoin_graph(el);
+  auto adjoin = nwtest::adjoin_of(el);
   EXPECT_TRUE(nwtest::same_partition(nw::sparse::cc_spmv(a),
-                                     nwtest::reference_components(adjoin.graph)));
+                                     nwtest::reference_components(adjoin)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphBlasParam, ::testing::Values(1, 2, 3));

@@ -42,6 +42,13 @@ inline std::pair<std::uint64_t, std::uint64_t> direction_steps(const std::string
   return {c[family + ".steps_top_down"], c[family + ".steps_bottom_up"]};
 }
 
+/// The adjoin view of an edge list, over a generation built from its
+/// sort_and_unique'd copy.
+inline nw::hypergraph::adjoin_graph adjoin_of(nw::hypergraph::biedgelist<> el) {
+  el.sort_and_unique();
+  return nw::hypergraph::adjoin_graph(nw::hypergraph::make_generation(std::move(el)));
+}
+
 /// Canonical form of a line-graph edge list: sorted unique {lo, hi} pairs.
 inline std::vector<std::pair<vertex_id_t, vertex_id_t>> canonical_pairs(
     const nw::graph::edge_list<>& el) {

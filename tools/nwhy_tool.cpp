@@ -21,9 +21,9 @@
 //   nwhy_tool motifs     <file>                 wedge/triad/butterfly census
 //   nwhy_tool toplexes   <file>                 maximal hyperedges
 //   nwhy_tool collapse   <file>                 duplicate-hyperedge collapse
-//   nwhy_tool convert    <in> <out> [--adjoin]  format conversion (.bin, .mtx,
-//                                               .nwcsr; --adjoin embeds the
-//                                               adjoin CSR in .nwcsr output;
+//   nwhy_tool convert    <in> <out>             format conversion (.bin, .mtx,
+//                                               .nwcsr; --compress codes the
+//                                               .nwcsr target sections;
 //                                               --relabel[=degree] reorders
 //                                               hyperedge storage by degree
 //                                               and embeds the inverse map;
@@ -43,7 +43,8 @@
 // Malformed input never aborts: every reader throws nw::hypergraph::io_error
 // with file/line/byte context, which main() turns into an `error:` line on
 // stderr and a nonzero exit.  Positional integers are decimal digits only;
-// s must be >= 1.  Anything else is an `error:` line and exit 2.
+// s must be >= 1; an unknown `--option` is rejected.  Anything else is an
+// `error:` line and exit 2.
 //
 // Any command accepts `--profile out.json` anywhere on the line: after the
 // command finishes, the observability registry (counters, phase timers,
@@ -407,8 +408,8 @@ int cmd_collapse(const std::string& path) {
   return 0;
 }
 
-int cmd_convert(const std::string& in, const std::string& out, bool with_adjoin,
-                bool compress, bool relabel, long shards) {
+int cmd_convert(const std::string& in, const std::string& out, bool compress, bool relabel,
+                long shards) {
   if (has_suffix(out, ".nwcsr")) {
     NWHypergraph hg = load_hypergraph(in);
     if (relabel) hg.relabel_by_degree();  // save embeds the inverse map
@@ -416,16 +417,15 @@ int cmd_convert(const std::string& in, const std::string& out, bool with_adjoin,
       csr_shard_options so;
       so.shards   = static_cast<std::uint32_t>(shards);
       so.compress = compress;
-      hg.save_csr_snapshot(out, so, with_adjoin);
+      hg.save_csr_snapshot(out, so);
     } else if (compress) {
-      hg.save_csr_snapshot(out, csr_compress_options{}, with_adjoin);
+      hg.save_csr_snapshot(out, csr_compress_options{});
     } else {
-      hg.save_csr_snapshot(out, with_adjoin);
+      hg.save_csr_snapshot(out);
     }
-    std::printf("wrote %s (%zu incidences, canonical CSR snapshot%s%s%s%s)\n", out.c_str(),
-                hg.num_incidences(), with_adjoin ? ", with adjoin" : "",
-                compress ? ", compressed" : "", relabel ? ", degree-relabeled" : "",
-                shards >= 0 ? ", sharded" : "");
+    std::printf("wrote %s (%zu incidences, canonical CSR snapshot%s%s%s)\n", out.c_str(),
+                hg.num_incidences(), compress ? ", compressed" : "",
+                relabel ? ", degree-relabeled" : "", shards >= 0 ? ", sharded" : "");
     return 0;
   }
   if (relabel || shards >= 0) {
@@ -563,7 +563,8 @@ int cmd_inspect(const std::string& path) {
     std::printf("  version      : %u\n", snap.version);
     std::printf("  flags        : 0x%x (%s%s)\n", snap.flags,
                 snap.canonical() ? "canonical" : "non-canonical",
-                snap.adjoin ? ", has-adjoin" : "");
+                (snap.flags & csr_flag_has_adjoin) != 0 ? ", has-adjoin (legacy, not decoded)"
+                                                        : "");
     std::printf("  hyperedges   : %llu\n", static_cast<unsigned long long>(snap.n0));
     std::printf("  hypernodes   : %llu\n", static_cast<unsigned long long>(snap.n1));
     std::printf("  incidences   : %llu\n", static_cast<unsigned long long>(snap.m));
@@ -575,10 +576,6 @@ int cmd_inspect(const std::string& path) {
     auto h = read_snapshot_header(path);
     print_section_table(h);
     print_shard_directory(path, h);
-    if (snap.adjoin) {
-      std::printf("  adjoin CSR   : %zu ids, %zu directed edges\n", snap.adjoin->num_ids(),
-                  snap.adjoin->graph.num_edges());
-    }
     auto cons = validate_csr_pair(snap.edges, snap.nodes);
     std::printf("  checksums    : ok (all sections verified)\n");
     std::printf("  consistency  : %s\n", cons.to_string().c_str());
@@ -610,7 +607,7 @@ void usage() {
                "  motifs     <file>\n"
                "  toplexes   <file>\n"
                "  collapse   <file>\n"
-               "  convert    <in> <out.bin|out.mtx|out.nwcsr> [--adjoin] [--compress]\n"
+               "  convert    <in> <out.bin|out.mtx|out.nwcsr> [--compress]\n"
                "             [--relabel[=degree]] [--shards[=N]]\n"
                "  inspect    <file>\n"
                "  generate   <dataset-name> <scale> <out.bin|out.mtx>\n"
@@ -624,17 +621,18 @@ int main(int argc, char** argv) {
   // Extract `--profile <path>` and the mode flags (allowed anywhere) before
   // positional parsing.
   std::string              profile_out;
-  bool                     with_adjoin = false;
-  bool                     compress    = false;
-  bool                     relabel     = false;
-  bool                     sharded     = false;
-  long                     shards      = -1;  // -1: off; 0: byte-budget auto; N: pinned count
+  bool                     compress = false;
+  bool                     relabel  = false;
+  bool                     sharded  = false;
+  long                     shards   = -1;  // -1: off; 0: byte-budget auto; N: pinned count
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--profile") == 0) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "error: --profile needs an output path\n");
+        return 2;
+      }
       profile_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--adjoin") == 0) {
-      with_adjoin = true;
     } else if (std::strcmp(argv[i], "--compress") == 0) {
       compress = true;
     } else if (std::strcmp(argv[i], "--relabel") == 0 ||
@@ -654,6 +652,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --shards=N needs a positive integer\n");
         return 2;
       }
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
+      return 2;
     } else {
       args.emplace_back(argv[i]);
     }
@@ -693,7 +694,7 @@ int main(int argc, char** argv) {
   } else if (cmd == "collapse") {
     rc = cmd_collapse(path);
   } else if (cmd == "convert" && args.size() >= 3) {
-    rc = cmd_convert(path, arg(2), with_adjoin, compress, relabel, shards);
+    rc = cmd_convert(path, arg(2), compress, relabel, shards);
   } else if (cmd == "inspect") {
     rc = cmd_inspect(path);
   } else if (cmd == "generate" && args.size() >= 4) {
