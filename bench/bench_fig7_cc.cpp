@@ -1,7 +1,9 @@
 // bench/bench_fig7_cc.cpp — reproduces Figure 7: strong scaling of
 // hypergraph connected-component decomposition.  Series per dataset:
-// HyperCC (bipartite label propagation), AdjoinCC-Afforest, AdjoinCC-LP,
-// and the HygraCC comparator, across doubling thread counts.
+// HyperCC (label propagation), AdjoinCC-Afforest and the HygraCC
+// comparator, across doubling thread counts.  HyperCC's bipartite sweep is
+// label propagation on the adjoin rows, so there is no separate
+// AdjoinCC-LP series.
 //
 //   NWHY_BENCH_JSON     path; when set the harness skips the Figure-7 table
 //                       and writes a machine-readable sweep (dataset x
@@ -50,20 +52,15 @@ int run_json_mode(const char* path) {
       };
       std::size_t comps = 0;
       double      ms    = time_median_ms([&] {
-        auto r = hyper_cc(d->hyperedges, d->hypernodes);
+        auto r = hyper_cc(d->adjoin);
         comps  = components_of(r.labels_edge, r.labels_node);
       });
       emit("HyperCC", ms, comps);
       ms = time_median_ms([&] {
-        auto r = adjoin_cc(d->adjoin, adjoin_cc_engine::afforest);
+        auto r = adjoin_cc(d->adjoin);
         comps  = components_of(r.labels_edge, r.labels_node);
       });
       emit("AdjoinCC-Aff", ms, comps);
-      ms = time_median_ms([&] {
-        auto r = adjoin_cc(d->adjoin, adjoin_cc_engine::label_propagation);
-        comps  = components_of(r.labels_edge, r.labels_node);
-      });
-      emit("AdjoinCC-LP", ms, comps);
       ms = time_median_ms([&] {
         auto r = nw::hygra::hygra_cc(d->hyperedges, d->hypernodes);
         comps  = components_of(r.labels_edge, r.labels_node);
@@ -87,32 +84,27 @@ int main() {
   }
   std::printf("Figure 7 — strong scaling, connected components (time in ms, min of %zu reps)\n",
               env_size("NWHY_BENCH_REPS", 3));
-  std::printf("%-18s %8s %12s %16s %12s %12s\n", "dataset", "threads", "HyperCC",
-              "AdjoinCC-Aff", "AdjoinCC-LP", "HygraCC");
+  std::printf("%-18s %8s %12s %16s %12s\n", "dataset", "threads", "HyperCC", "AdjoinCC-Aff",
+              "HygraCC");
   for (const auto& d : suite()) {
     for (unsigned t : env_threads()) {
       nw::par::thread_pool::set_default_concurrency(t);
       double hyper = time_min_ms([&] {
-        auto r = hyper_cc(d->hyperedges, d->hypernodes);
+        auto r = hyper_cc(d->adjoin);
         (void)r;
       });
       double aff = time_min_ms([&] {
-        auto r = adjoin_cc(d->adjoin, adjoin_cc_engine::afforest);
-        (void)r;
-      });
-      double lp = time_min_ms([&] {
-        auto r = adjoin_cc(d->adjoin, adjoin_cc_engine::label_propagation);
+        auto r = adjoin_cc(d->adjoin);
         (void)r;
       });
       double hygra = time_min_ms([&] {
         auto r = nw::hygra::hygra_cc(d->hyperedges, d->hypernodes);
         (void)r;
       });
-      std::printf("%-18s %8u %12.2f %16.2f %12.2f %12.2f\n", d->name.c_str(), t, hyper, aff, lp,
-                  hygra);
+      std::printf("%-18s %8u %12.2f %16.2f %12.2f\n", d->name.c_str(), t, hyper, aff, hygra);
     }
     // Sanity footer: component count must agree across engines.
-    auto a = adjoin_cc(d->adjoin, adjoin_cc_engine::afforest);
+    auto a = adjoin_cc(d->adjoin);
     std::printf("  -> %zu connected components\n", components_of(a.labels_edge, a.labels_node));
   }
   return 0;

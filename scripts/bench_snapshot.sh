@@ -22,8 +22,9 @@
 #           median ms and hyperedges reached — HyperBFS vs HyperBFS-relabel
 #           is the relabel-on/off locality comparison this file freezes
 #   cc    — bench_fig7_cc in NWHY_BENCH_JSON mode: dataset x algorithm
-#           (HyperCC / AdjoinCC-Aff / AdjoinCC-LP / HygraCC) x threads,
-#           median ms and component count
+#           (HyperCC / AdjoinCC-Aff / HygraCC) x threads, median ms and
+#           component count (records frozen before HyperCC moved onto the
+#           adjoin view also carry an AdjoinCC-LP series, the same kernel)
 #   micro — bench_micro's frontier kernels (BM_FrontierDenseToSparseSerial,
 #           BM_FrontierDenseToSparse, BM_FrontierSparseToDense,
 #           BM_FrontierScoutCount); /N is the thread count, so the sweep

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check_docs.sh — the doc-truth linter: docs/ and README.md may only
 # name things that exist in the tree, and production code may not call the
-# serial oracles.  Eight checks:
+# serial oracles.  Nine checks:
 #
 #   1. env knobs, both directions.  Every `NWHY_*` token in the docs must be
 #      read somewhere (a quoted "NWHY_*" string in src/tools/bench/tests/
@@ -46,6 +46,13 @@
 #      detail::count_overlaps in src/nwhy/slinegraph/construction.hpp, the
 #      one kernel every hyperedge-overlap count goes through.  Comment-only
 #      lines are skipped.
+#   8. one union-find (full run only).  `find_root`, `link_roots` and
+#      `compress_all` are defined only in
+#      src/nwgraph/algorithms/connected_components.hpp, and no other file
+#      under src/ outside src/hygra/ (the Hygra comparator) defines a
+#      `find` / `unite` member returning an id, or subscripts a `parent_`
+#      forest by hand.  Every other component labelling links into that
+#      forest.  Comment-only lines are skipped.
 #
 # Usage:
 #   scripts/check_docs.sh                 lint docs/*.md + README.md (both
@@ -59,9 +66,11 @@
 #                                         synthetic source tree calling an
 #                                         oracle, one reading a knob its
 #                                         profiles omit, one indexing a
-#                                         relabel map by hand, and one
+#                                         relabel map by hand, one
 #                                         counting overlaps outside
-#                                         count_overlaps, must all be
+#                                         count_overlaps, and one
+#                                         writing its own union-find,
+#                                         must all be
 #                                         rejected, and each rejection must
 #                                         name the culprit
 #
@@ -140,6 +149,24 @@ increment_lint() {
   [[ -z "$hits" ]] && return 0
   while IFS= read -r line; do
     echo "check_docs.sh: overlap counted outside detail::count_overlaps (src/nwhy/slinegraph/construction.hpp): $line" >&2
+  done <<<"$hits"
+  return 1
+}
+
+# Check 8 on the tree rooted at $1: prints every line under src/ (outside
+# src/hygra/) that defines a union-find routine other than the forest in
+# src/nwgraph/algorithms/connected_components.hpp, and fails if there is one.
+union_find_lint() {
+  local root=${1%/} hits
+  local id='(vertex_id_t|size_t|u?int[0-9]*_t|int|unsigned|void|auto)'
+  hits=$(grep -rnE --include='*.hpp' --include='*.cpp' --include='*.h' --include='*.c' \
+    "${id}[[:space:]]+(find_root|link_roots|compress_all|find|unite)[[:space:]]*\(|(^|[^A-Za-z0-9_])parent_[[:space:]]*\[" \
+    "$root/src" 2>/dev/null \
+    | grep -vE "^$root/src/nwgraph/algorithms/connected_components\.hpp:|^$root/src/hygra/" \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+  [[ -z "$hits" ]] && return 0
+  while IFS= read -r line; do
+    echo "check_docs.sh: union-find written outside nwgraph/algorithms/connected_components.hpp: $line" >&2
   done <<<"$hits"
   return 1
 }
@@ -303,7 +330,46 @@ KERNEL
     cat "$TMP/out" >&2
     exit 1
   fi
-  echo "check_docs.sh: self-test OK (nonexistent knob and nwhy_tool option, production oracle use, unrecorded profile knob, hand-written relabel translation and overlap count outside count_overlaps rejected)"
+  # A union-find outside the shared forest must be rejected by name; the
+  # forest itself, the Hygra comparator, lookups named find, calls into
+  # the forest and comments must not be.
+  mkdir -p "$TMP/src/nwgraph/algorithms" "$TMP/src/hygra"
+  printf 'inline vertex_id_t find_root(std::vector<vertex_id_t>& c, vertex_id_t v) {\n' \
+    >"$TMP/src/nwgraph/algorithms/connected_components.hpp"
+  printf 'inline void link_roots(std::vector<vertex_id_t>& c, vertex_id_t u, vertex_id_t v);\n' \
+    >>"$TMP/src/nwgraph/algorithms/connected_components.hpp"
+  printf '  vertex_id_t find(vertex_id_t x) { return parent_[x]; }\n' >"$TMP/src/hygra/uf.hpp"
+  printf '  const delta_row* find(vertex_id_t e) const;\n' >"$TMP/src/nwhy/algorithms/lookup.hpp"
+  printf '  nw::graph::detail::link_roots(parent_, e, f);\n' >"$TMP/src/nwhy/algorithms/user.hpp"
+  printf '// parent_[x] = parent_[parent_[x]] was the old private forest\n' \
+    >"$TMP/src/nwhy/algorithms/clean3.hpp"
+  if ! union_find_lint "$TMP" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — a tree with one union-find was rejected" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  cases=(
+    'bad_root.hpp|inline vertex_id_t find_root(std::vector<vertex_id_t>& p, vertex_id_t v) {'
+    'bad_find.hpp|  vertex_id_t find(vertex_id_t x) const {'
+    'bad_unite.hpp|  void unite(vertex_id_t a, vertex_id_t b) const {'
+    'bad_forest.hpp|      parent_[x] = parent_[parent_[x]];  // path halving'
+  )
+  for c in "${cases[@]}"; do
+    name=${c%%|*}
+    printf '%s\n' "${c#*|}" >"$TMP/src/nwhy/algorithms/$name"
+    if union_find_lint "$TMP" >"$TMP/out" 2>&1; then
+      echo "check_docs.sh: self-test FAILED — $name passed the union-find lint" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    if ! grep -q "$name" "$TMP/out"; then
+      echo "check_docs.sh: self-test FAILED — rejection did not name $name" >&2
+      cat "$TMP/out" >&2
+      exit 1
+    fi
+    rm "$TMP/src/nwhy/algorithms/$name"
+  done
+  echo "check_docs.sh: self-test OK (nonexistent knob and nwhy_tool option, production oracle use, unrecorded profile knob, hand-written relabel translation, overlap count outside count_overlaps and a second union-find rejected)"
   exit 0
 fi
 
@@ -438,6 +504,12 @@ fi
 
 if [[ "$FULL" == 1 ]]; then
   increment_lint . || FAIL=1
+fi
+
+# --- check 8: one union-find ------------------------------------------------
+
+if [[ "$FULL" == 1 ]]; then
+  union_find_lint . || FAIL=1
 fi
 
 if [[ "$FAIL" != 0 ]]; then

@@ -3,16 +3,17 @@
 // Parallel connected-components algorithms on undirected CSR graphs:
 //
 //   * label propagation  — min-label flooding until a fixed point
-//                          (Orzan / Pregel-style; the HygraCC comparator and
-//                          one of the AdjoinCC engines)
-//   * Shiloach–Vishkin   — classic hook-and-shortcut PRAM algorithm
+//                          (Orzan / Pregel-style; HyperCC on the adjoin view)
 //   * Afforest           — Sutton et al.: link a few neighbors per vertex,
 //                          sample to find the largest intermediate component,
 //                          then finish everything else, skipping the giant
-//                          component's edges (the main AdjoinCC engine)
+//                          component's edges (AdjoinCC)
 //
-// All return a component-label array where two vertices share a label iff
-// they are connected.
+// Both return a component-label array where two vertices share a label iff
+// they are connected, and both name a component by its minimum vertex id.
+// The union-find forest under Afforest (detail::find_root / link_roots /
+// compress_all) is the library's only one: the out-of-core HyperCC and the
+// incremental s-line components link into it too.
 #pragma once
 
 #include <algorithm>
@@ -106,20 +107,6 @@ inline void compress_all(std::vector<vertex_id_t>& comp) {
 }
 
 }  // namespace detail
-
-/// Shiloach–Vishkin style hook-and-shortcut over all edges.
-template <adjacency_list_graph Graph>
-std::vector<vertex_id_t> cc_shiloach_vishkin(const Graph& g) {
-  std::vector<vertex_id_t> comp(g.size());
-  for (std::size_t v = 0; v < g.size(); ++v) comp[v] = static_cast<vertex_id_t>(v);
-  par::parallel_for(0, g.size(), [&](std::size_t u) {
-    for (auto&& e : g[u]) {
-      detail::link_roots(comp, static_cast<vertex_id_t>(u), target(e));
-    }
-  });
-  detail::compress_all(comp);
-  return comp;
-}
 
 /// Afforest (Sutton, Ben-Nun, Barak 2018).  `neighbor_rounds` controls how
 /// many leading neighbors each vertex links in the cheap first phase.

@@ -44,7 +44,6 @@
 #include "nwhy/adjoin.hpp"
 #include "nwhy/algorithms/adjoin_algorithms.hpp"
 #include "nwhy/algorithms/hyper_bfs.hpp"
-#include "nwhy/algorithms/hyper_cc.hpp"
 #include "nwhy/algorithms/hyper_kcore.hpp"
 #include "nwhy/algorithms/hyper_pagerank.hpp"
 #include "nwhy/algorithms/sharded_traversal.hpp"

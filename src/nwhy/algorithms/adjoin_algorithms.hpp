@@ -1,16 +1,19 @@
 // nwhy/algorithms/adjoin_algorithms.hpp
 //
-// AdjoinBFS and AdjoinCC (paper Sec. III-C.2): hypergraph BFS / connected
-// components computed by running *plain graph algorithms* on the adjoin
-// representation, then splitting the resultant array back into the
+// AdjoinBFS, AdjoinCC and HyperCC (paper Sec. III-C): hypergraph BFS /
+// connected components computed by running *plain graph algorithms* on the
+// adjoin representation, then splitting the resultant array back into the
 // hyperedge and hypernode parts.  This is the payoff of the single shared
 // index space: no hypergraph-specific algorithm required.
 //
 //   AdjoinBFS — direction-optimizing BFS (Beamer) on the adjoin rows
-//   AdjoinCC  — Afforest (Sutton et al.) or min-label propagation
+//   HyperCC   — min-label propagation (Sec. III-C.1)
+//   AdjoinCC  — Afforest (Sutton et al.)
 //
-// Both run on the adjoin row view (nwhy/adjoin.hpp), which reads the
-// generation's E2N / N2E rows with the id shift applied.
+// All run on the adjoin row view (nwhy/adjoin.hpp), which reads the
+// generation's E2N / N2E rows with the id shift applied.  HyperCC's
+// two-sided bipartite sweep is label propagation on exactly these rows, so
+// it is not written a second time.
 #pragma once
 
 #include <utility>
@@ -51,24 +54,30 @@ inline std::pair<std::vector<vertex_id_t>, std::vector<vertex_id_t>> adjoin_bfs_
   return split_results(dist, g.nrealedges());
 }
 
-struct adjoin_cc_result {
+/// Component labels split by index space.  Both CC engines name a
+/// component by its minimum shared id: the smallest hyperedge id when the
+/// component holds a hyperedge, nE + v for an isolated hypernode v.
+struct hyper_cc_result {
   std::vector<vertex_id_t> labels_edge;
   std::vector<vertex_id_t> labels_node;
 };
 
-enum class adjoin_cc_engine { afforest, label_propagation };
-
-/// Connected components of the hypergraph through its adjoin graph.  Labels
-/// are shared-index ids; a hyperedge and a hypernode in the same component
-/// receive the same label.
-inline adjoin_cc_result adjoin_cc(const adjoin_graph&           g,
-                                  adjoin_cc_engine engine = adjoin_cc_engine::afforest) {
-  NWOBS_SCOPE_TIMER("adjoin_cc");
-  std::vector<vertex_id_t> labels = engine == adjoin_cc_engine::afforest
-                                        ? nw::graph::cc_afforest(g)
-                                        : nw::graph::cc_label_propagation(g);
-  auto [le, ln] = split_results(labels, g.nrealedges());
+/// Split shared-id component labels into their hyperedge and hypernode parts.
+inline hyper_cc_result split_components(const std::vector<vertex_id_t>& labels,
+                                        std::size_t                     nrealedges) {
+  auto [le, ln] = split_results(labels, nrealedges);
   return {std::move(le), std::move(ln)};
+}
+
+/// HyperCC: min-label propagation over the adjoin rows.
+inline hyper_cc_result hyper_cc(const adjoin_graph& g) {
+  return split_components(nw::graph::cc_label_propagation(g), g.nrealedges());
+}
+
+/// AdjoinCC: Afforest over the adjoin rows.  Same labels as hyper_cc.
+inline hyper_cc_result adjoin_cc(const adjoin_graph& g) {
+  NWOBS_SCOPE_TIMER("adjoin_cc");
+  return split_components(nw::graph::cc_afforest(g), g.nrealedges());
 }
 
 }  // namespace nw::hypergraph

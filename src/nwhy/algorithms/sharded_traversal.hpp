@@ -16,9 +16,11 @@
 // are deterministic for a fixed shard count (serial shard order, first
 // claim wins).
 //
-// HyperCC runs min-label relaxation sweeps shard by shard to a global
-// fixpoint.  The fixpoint of min-label propagation is unique regardless of
-// relaxation order, so the labels equal hyper_cc's exactly.
+// HyperCC loads each shard once and links every incidence (e, v) of its
+// E2N rows into one union-find forest over the n0 + n1 shared ids (the
+// Afforest forest of nwgraph/algorithms/connected_components.hpp).  The
+// forest roots every component at its minimum id, so after compression
+// the labels equal hyper_cc's exactly.
 //
 // nwobs counters: shard.passes (shard loads), shard.spilled (node-frontier
 // replays), plus shard.bytes_loaded / shard.madvise_windows from the
@@ -26,13 +28,16 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
+#include "nwgraph/algorithms/connected_components.hpp"
+#include "nwhy/algorithms/adjoin_algorithms.hpp"
 #include "nwhy/algorithms/hyper_bfs.hpp"
-#include "nwhy/algorithms/hyper_cc.hpp"
 #include "nwhy/io/shard.hpp"
 #include "nwobs/counters.hpp"
 #include "nwobs/scope_timer.hpp"
+#include "nwpar/parallel_for.hpp"
 #include "nwutil/defs.hpp"
 
 namespace nw::hypergraph {
@@ -122,58 +127,29 @@ inline hyper_bfs_result hyper_bfs_sharded(sharded_snapshot& snap, vertex_id_t so
   return r;
 }
 
-/// Out-of-core HyperCC: min-label relaxation swept shard by shard until a
-/// full pass changes nothing.  Labels match hyper_cc exactly (per-component
-/// minimum hyperedge id on both sides; isolated hypernodes keep ne + v).
+/// Out-of-core HyperCC: one load per shard, each incidence linked into the
+/// shared forest.  Labels match hyper_cc exactly (per-component minimum
+/// hyperedge id on both sides; isolated hypernodes keep n0 + v).
 inline hyper_cc_result hyper_cc_sharded(sharded_snapshot& snap) {
   NWOBS_SCOPE_TIMER("hyper_cc_sharded");
   const std::size_t n0 = static_cast<std::size_t>(snap.num_hyperedges());
   const std::size_t n1 = static_cast<std::size_t>(snap.num_hypernodes());
-  const std::size_t K  = snap.num_shards();
 
-  hyper_cc_result r;
-  r.labels_edge.resize(n0);
-  r.labels_node.resize(n1);
-  for (std::size_t e = 0; e < n0; ++e) r.labels_edge[e] = static_cast<vertex_id_t>(e);
-  for (std::size_t v = 0; v < n1; ++v) r.labels_node[v] = static_cast<vertex_id_t>(n0 + v);
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t k = 0; k < K; ++k) {
-      auto view = snap.load_shard(k);
-      NWOBS_COUNT("shard.passes", 1);
-      // Relax within the shard to a local fixpoint before moving on — each
-      // load then pays for as much propagation as the shard supports.
-      bool local = true;
-      while (local) {
-        local = false;
-        for (vertex_id_t e = view.e_begin; e < view.e_end; ++e) {
-          vertex_id_t le = r.labels_edge[e];
-          for (vertex_id_t v : view.edge_row(e)) {
-            if (r.labels_node[v] < le) le = r.labels_node[v];
-          }
-          if (le < r.labels_edge[e]) {
-            r.labels_edge[e] = le;
-            local            = true;
-          }
-        }
-        for (std::size_t v = 0; v < n1; ++v) {
-          vertex_id_t lv = r.labels_node[v];
-          for (vertex_id_t e : view.node_row(static_cast<vertex_id_t>(v))) {
-            if (r.labels_edge[e] < lv) lv = r.labels_edge[e];
-          }
-          if (lv < r.labels_node[v]) {
-            r.labels_node[v] = lv;
-            local            = true;
-          }
-        }
-        if (local) changed = true;
+  std::vector<vertex_id_t> comp(n0 + n1);
+  std::iota(comp.begin(), comp.end(), vertex_id_t{0});
+  for (std::size_t k = 0; k < snap.num_shards(); ++k) {
+    auto view = snap.load_shard(k);
+    NWOBS_COUNT("shard.passes", 1);
+    par::parallel_for(view.e_begin, view.e_end, [&](std::size_t e) {
+      for (vertex_id_t v : view.edge_row(static_cast<vertex_id_t>(e))) {
+        nw::graph::detail::link_roots(comp, static_cast<vertex_id_t>(e),
+                                      static_cast<vertex_id_t>(n0 + v));
       }
-    }
+    });
   }
   snap.release_shard();
-  return r;
+  nw::graph::detail::compress_all(comp);
+  return split_components(comp, n0);
 }
 
 }  // namespace nw::hypergraph

@@ -51,7 +51,6 @@
 #include "nwhy/adjoin.hpp"
 #include "nwhy/algorithms/adjoin_algorithms.hpp"
 #include "nwhy/algorithms/hyper_bfs.hpp"
-#include "nwhy/algorithms/hyper_cc.hpp"
 #include "nwhy/algorithms/motif.hpp"
 #include "nwhy/algorithms/toplex.hpp"
 #include "nwhy/biadjacency.hpp"
@@ -391,30 +390,25 @@ public:
         hyper_bfs(g.hyperedges, g.hypernodes, storage_edge_id(source_edge)), source_edge);
   }
 
-  /// HyperCC over the bipartite representation (min-label convention).
-  [[nodiscard]] hyper_cc_result connected_components() const {
-    const auto& g = live();
-    auto        r = hyper_cc(g.hyperedges, g.hypernodes);
-    if (relabel_) r.labels_edge = relabel_->to_external_components(r.labels_edge, r.labels_node);
-    return r;
-  }
-
-  /// AdjoinBFS / AdjoinCC over the adjoin view of the storage rows (the
-  /// composed generation while a delta is pending).  A relabeled
-  /// hypergraph maps the source in and the shared-id answers out through
-  /// relabel_maps: hyperedge ids translate, hypernode ids pass through.
+  /// AdjoinBFS over the adjoin view of the storage rows (the composed
+  /// generation while a delta is pending).  A relabeled hypergraph maps the
+  /// source in and the shared-id answers out through relabel_maps:
+  /// hyperedge ids translate, hypernode ids pass through.
   [[nodiscard]] adjoin_bfs_result bfs_adjoin(vertex_id_t source_edge) const {
     auto r = adjoin_bfs(adjoin(), storage_edge_id(source_edge));
     if (relabel_) relabel_->parents_to_external(r.parents_edge, r.parents_node, source_edge);
     return r;
   }
-  [[nodiscard]] adjoin_cc_result connected_components_adjoin(
-      adjoin_cc_engine engine = adjoin_cc_engine::afforest) const {
-    auto r = adjoin_cc(adjoin(), engine);
-    // Both engines name a component by its minimum shared id, a storage
-    // row whenever the component holds a hyperedge.
-    if (relabel_) r.labels_edge = relabel_->to_external_components(r.labels_edge, r.labels_node);
-    return r;
+
+  /// HyperCC (label propagation) and AdjoinCC (Afforest) over the adjoin
+  /// view.  Both name a component by its minimum shared id, a storage row
+  /// whenever the component holds a hyperedge, so both return the same
+  /// labels and translate out the same way.
+  [[nodiscard]] hyper_cc_result connected_components() const {
+    return external_components(hyper_cc(adjoin()));
+  }
+  [[nodiscard]] hyper_cc_result connected_components_adjoin() const {
+    return external_components(adjoin_cc(adjoin()));
   }
 
   /// Toplexes (Algorithm 3).  A relabeled hypergraph runs the kernel over
@@ -490,6 +484,14 @@ private:
   /// or out of range — out-of-range ids keep their unrelabeled behavior).
   [[nodiscard]] vertex_id_t storage_edge_id(vertex_id_t e) const {
     return relabel_ ? relabel_->storage_id(e) : e;
+  }
+
+  /// Component labels over the storage rows -> external ids: each
+  /// component takes its minimum external hyperedge id, and isolated
+  /// hypernodes keep nE + v.
+  [[nodiscard]] hyper_cc_result external_components(hyper_cc_result r) const {
+    if (relabel_) r.labels_edge = relabel_->to_external_components(r.labels_edge, r.labels_node);
+    return r;
   }
 
   /// Recompute both degree views after adopting a relabeled generation:

@@ -86,17 +86,12 @@ public:
   /// Listing 5 `is_s_connected()`: true when every active entity lies in a
   /// single component (and there is at least one active entity).
   [[nodiscard]] bool is_s_connected() const {
-    auto        labels = nw::graph::cc_afforest(graph_);
-    vertex_id_t first  = null_vertex<>;
-    for (std::size_t v = 0; v < labels.size(); ++v) {
-      if (!active_[v]) continue;
-      if (first == null_vertex<>) {
-        first = labels[v];
-      } else if (labels[v] != first) {
-        return false;
-      }
-    }
-    return first != null_vertex<>;
+    const auto labels = s_connected_components();
+    const auto first =
+        std::find_if(labels.begin(), labels.end(), [](vertex_id_t l) { return l != null_vertex<>; });
+    return first != labels.end() && std::all_of(labels.begin(), labels.end(), [&](vertex_id_t l) {
+             return l == null_vertex<> || l == *first;
+           });
   }
 
   /// Listing 5 `s_distance(src, dest)`: hop distance in the s-line graph;

@@ -14,8 +14,9 @@
 //     line-graph pairs incident on e can appear or disappear (a pair {f, g}
 //     with e ∉ {f, g} has an unchanged overlap), so the update drops e's
 //     pairs and recounts overlaps against e alone with the construction
-//     kernel (detail::count_overlaps).  s-connectivity is kept as a
-//     union-find: insertions union eagerly; a deletion invalidates the
+//     kernel (detail::count_overlaps).  s-connectivity is kept in the
+//     library's union-find forest (nw::graph::detail::link_roots, the one
+//     under Afforest): insertions link eagerly; a deletion invalidates the
 //     forest and the next component query rebuilds it from the maintained
 //     adjacency (deletions can split components, which union-find cannot
 //     express).
@@ -35,10 +36,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <vector>
 
 #include "nwgraph/algorithms/bfs.hpp"
+#include "nwgraph/algorithms/connected_components.hpp"
 #include "nwhy/algorithms/toplex.hpp"
 #include "nwhy/nwhypergraph.hpp"
 #include "nwhy/slinegraph/construction.hpp"
@@ -107,7 +110,7 @@ private:
 
 /// An s-line graph maintained under hyperedge updates.  Owns its own copy
 /// of the composed incidence plus the line-graph adjacency and a lazily
-/// repaired union-find over it.
+/// repaired union-find forest over it.
 class incremental_slinegraph {
 public:
   incremental_slinegraph(const NWHypergraph& h, std::size_t s)
@@ -129,10 +132,11 @@ public:
   void update_edge(vertex_id_t e, std::vector<vertex_id_t> members) {
     inc_.update_edge(e, std::move(members));
     if (adj_.size() < inc_.edges().size()) {
+      const std::size_t old = parent_.size();
       adj_.resize(inc_.edges().size());
-      for (std::size_t i = parent_.size(); i < adj_.size(); ++i) {
-        parent_.push_back(static_cast<vertex_id_t>(i));
-      }
+      parent_.resize(adj_.size());
+      std::iota(parent_.begin() + static_cast<std::ptrdiff_t>(old), parent_.end(),
+                static_cast<vertex_id_t>(old));
     }
     // Drop every line-graph pair incident on e.  A deletion can split an
     // s-component, which the union-find cannot undo: mark it for rebuild.
@@ -159,7 +163,7 @@ public:
       for (vertex_id_t f : nbrs) {
         auto& fn = adj_[f];
         fn.insert(std::lower_bound(fn.begin(), fn.end(), e), e);
-        if (cc_valid_) unite(e, f);
+        if (cc_valid_) nw::graph::detail::link_roots(parent_, e, f);
       }
       adj_[e] = std::move(nbrs);
     }
@@ -187,19 +191,16 @@ public:
   }
 
   /// s-component labels: min active edge id per component, null_vertex<>
-  /// for inactive edges — the serial s_components oracle's convention.  Repairs the
-  /// union-find first when a deletion invalidated it.
+  /// for inactive edges — the serial s_components oracle's convention.
+  /// Repairs the forest first when a deletion invalidated it.  An inactive
+  /// edge has no line-graph pairs, so every root (a component's minimum
+  /// id) is active and is the label itself.
   [[nodiscard]] std::vector<vertex_id_t> s_connected_components() const {
-    ensure_union_find();
-    std::vector<vertex_id_t> label(adj_.size(), null_vertex<>);
-    for (std::size_t e = 0; e < adj_.size(); ++e) {
-      if (!active(static_cast<vertex_id_t>(e))) continue;
-      vertex_id_t r = find(static_cast<vertex_id_t>(e));
-      if (label[r] == null_vertex<>) label[r] = static_cast<vertex_id_t>(e);  // ascending: min
-    }
+    if (!cc_valid_) rebuild_union_find();
     std::vector<vertex_id_t> out(adj_.size(), null_vertex<>);
     for (std::size_t e = 0; e < adj_.size(); ++e) {
-      if (active(static_cast<vertex_id_t>(e))) out[e] = label[find(static_cast<vertex_id_t>(e))];
+      const auto id = static_cast<vertex_id_t>(e);
+      if (active(id)) out[e] = nw::graph::detail::find_root(parent_, id);
     }
     return out;
   }
@@ -217,37 +218,19 @@ public:
 private:
   void rebuild_union_find() const {
     parent_.resize(adj_.size());
-    for (std::size_t i = 0; i < parent_.size(); ++i) parent_[i] = static_cast<vertex_id_t>(i);
+    std::iota(parent_.begin(), parent_.end(), vertex_id_t{0});
     for (std::size_t u = 0; u < adj_.size(); ++u) {
-      for (vertex_id_t v : adj_[u]) unite(static_cast<vertex_id_t>(u), v);
+      for (vertex_id_t v : adj_[u]) {
+        nw::graph::detail::link_roots(parent_, static_cast<vertex_id_t>(u), v);
+      }
     }
     cc_valid_ = true;
-  }
-  void ensure_union_find() const {
-    if (!cc_valid_) rebuild_union_find();
-  }
-  vertex_id_t find(vertex_id_t x) const {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];  // path halving
-      x          = parent_[x];
-    }
-    return x;
-  }
-  void unite(vertex_id_t a, vertex_id_t b) const {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (a < b) {
-      parent_[b] = a;  // min-id roots keep label extraction trivial
-    } else {
-      parent_[a] = b;
-    }
   }
 
   std::size_t                           s_;
   dynamic_incidence                     inc_;
   std::vector<std::vector<vertex_id_t>> adj_;  ///< line-graph adjacency, sorted
-  mutable std::vector<vertex_id_t>      parent_;        ///< union-find forest over adj_
+  mutable std::vector<vertex_id_t>      parent_;  ///< link_roots forest over adj_
   mutable bool                          cc_valid_ = false;
 };
 

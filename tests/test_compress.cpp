@@ -467,11 +467,6 @@ TEST(CompressedDifferential, TraversalFamiliesMatchUncompressed) {
         EXPECT_EQ(dir.dist_node, oracle.dist_node) << "direction-optimizing on compressed";
       }
 
-      auto cc_raw = hyper_cc(E, N);
-      auto cc_cmp = hyper_cc(Ec, Nc);
-      EXPECT_EQ(cc_cmp.labels_edge, cc_raw.labels_edge);
-      EXPECT_EQ(cc_cmp.labels_node, cc_raw.labels_node);
-
       EXPECT_EQ(toplexes(Ec, Nc), toplexes(E, N));
       EXPECT_EQ(toplexes(Ec, Nc), ref::toplexes(ref::from_biedgelist(hg.edge_list())));
     }

@@ -7,7 +7,8 @@
 // {1, 2, 4, hardware}, across the bipartite and adjoin representations, and
 // across all s-line construction algorithms.  Distances, line-graph edge
 // sets, toplex sets, core numbers and the distance-aggregate centralities
-// must agree *bit-exactly*; component labels must agree up to renaming.
+// must agree *bit-exactly*; component labels must agree with the oracle up
+// to renaming, and the two CC engines with each other label for label.
 //
 // Replay: every assertion failure embeds the generator seed and the
 // one-command repro (`NWHY_TEST_SEED=<n> ./tests/test_differential`).
@@ -129,6 +130,33 @@ TEST(Differential, BfsDistancesMatchSerialOracle) {
 
 // --- connected components family ----------------------------------------------------
 
+namespace {
+
+/// A pending delta over `h`: one rewritten edge, one tombstone and one
+/// edge appended past the id range (growing the node space by one).
+void mutate_for_cc(NWHypergraph& h) {
+  const auto ne = static_cast<vertex_id_t>(h.num_hyperedges());
+  const auto nn = static_cast<vertex_id_t>(h.num_hypernodes());
+  h.update_edge(0, {0, nn / 2});
+  const vertex_id_t dropped[] = {ne / 2};
+  h.remove_edges(dropped);
+  h.insert_edges({{ne + 1, {nn / 3, nn}}});
+}
+
+/// HyperCC against the oracle partition, and AdjoinCC against HyperCC's
+/// raw labels: both engines name a component by its minimum id.
+void expect_cc_engines_agree(const NWHypergraph& hg, const ref::cc_labels_result& oracle) {
+  auto cc = hg.connected_components();
+  EXPECT_TRUE(same_partition(concat_labels(cc.labels_edge, cc.labels_node),
+                             concat_labels(oracle.labels_edge, oracle.labels_node)))
+      << "hyper_cc";
+  auto aff = hg.connected_components_adjoin();
+  EXPECT_EQ(aff.labels_edge, cc.labels_edge) << "adjoin_cc";
+  EXPECT_EQ(aff.labels_node, cc.labels_node) << "adjoin_cc";
+}
+
+}  // namespace
+
 TEST(Differential, ConnectedComponentsMatchSerialOracle) {
   nwtest::concurrency_guard guard;
   for (unsigned threads : nwtest::differential_thread_counts()) {
@@ -136,22 +164,30 @@ TEST(Differential, ConnectedComponentsMatchSerialOracle) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     for (auto seed : nwtest::differential_seeds(0x0CC0'0000)) {
       NWHY_SEED_TRACE(seed);
-      NWHypergraph hg(gen::arbitrary_hypergraph(seed));
-      auto         inc    = ref::from_biedgelist(hg.edge_list());
-      auto         oracle = ref::cc_labels(inc);
-      auto         expect = concat_labels(oracle.labels_edge, oracle.labels_node);
-
-      auto cc = hg.connected_components();
-      EXPECT_TRUE(same_partition(concat_labels(cc.labels_edge, cc.labels_node), expect))
-          << "hyper_cc";
-
-      auto aff = hg.connected_components_adjoin(adjoin_cc_engine::afforest);
-      EXPECT_TRUE(same_partition(concat_labels(aff.labels_edge, aff.labels_node), expect))
-          << "adjoin_cc (afforest)";
-
-      auto lp = hg.connected_components_adjoin(adjoin_cc_engine::label_propagation);
-      EXPECT_TRUE(same_partition(concat_labels(lp.labels_edge, lp.labels_node), expect))
-          << "adjoin_cc (label propagation)";
+      const auto   el = gen::arbitrary_hypergraph(seed);
+      NWHypergraph hg(el);
+      const auto   oracle = ref::cc_labels(ref::from_biedgelist(hg.edge_list()));
+      {
+        SCOPED_TRACE("plain");
+        expect_cc_engines_agree(hg, oracle);
+      }
+      {
+        SCOPED_TRACE("relabeled");
+        NWHypergraph twin(el);
+        twin.relabel_by_degree();
+        expect_cc_engines_agree(twin, oracle);
+        EXPECT_EQ(twin.connected_components().labels_edge, hg.connected_components().labels_edge);
+      }
+      {
+        SCOPED_TRACE("pending delta");
+        NWHypergraph pending(el);
+        NWHypergraph compacted(el);
+        mutate_for_cc(pending);
+        mutate_for_cc(compacted);
+        compacted.compact();
+        ASSERT_TRUE(pending.has_pending_delta());
+        expect_cc_engines_agree(pending, ref::cc_labels(ref::from_biedgelist(compacted.edge_list())));
+      }
     }
   }
 }

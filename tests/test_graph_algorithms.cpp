@@ -149,12 +149,6 @@ TEST_P(CcParam, LabelPropagationMatchesReference) {
   EXPECT_TRUE(same_partition(cc_label_propagation(g), reference_components(g)));
 }
 
-TEST_P(CcParam, ShiloachVishkinMatchesReference) {
-  auto        el = random_graph(300, 450, GetParam());
-  adjacency<> g(el);
-  EXPECT_TRUE(same_partition(cc_shiloach_vishkin(g), reference_components(g)));
-}
-
 TEST_P(CcParam, AfforestMatchesReference) {
   auto        el = random_graph(300, 450, GetParam());
   adjacency<> g(el);

@@ -814,10 +814,8 @@ TEST(CsrSnapshot, LegacyAdjoinSnapshotAnswersAsPlainFigure1) {
       EXPECT_EQ(hg.bfs(e).dist_edge, plain.bfs(e).dist_edge);
       EXPECT_EQ(adjoin_bfs_distances(hg.adjoin(), e), adjoin_bfs_distances(plain.adjoin(), e));
     }
-    EXPECT_EQ(hg.connected_components().labels_edge, plain.connected_components().labels_edge);
-    for (auto engine : {adjoin_cc_engine::afforest, adjoin_cc_engine::label_propagation}) {
-      auto got  = hg.connected_components_adjoin(engine);
-      auto want = plain.connected_components_adjoin(engine);
+    const auto want = plain.connected_components();
+    for (const auto& got : {hg.connected_components(), hg.connected_components_adjoin()}) {
       EXPECT_EQ(got.labels_edge, want.labels_edge);
       EXPECT_EQ(got.labels_node, want.labels_node);
     }

@@ -288,7 +288,9 @@ TEST(CsrFromBuffers, RowsAreSorted) {
     bool        any  = false;
     for (auto&& e : csr[u]) {
       vertex_id_t v = target(e);
-      if (any) EXPECT_LT(prev, v) << "row " << u;
+      if (any) {
+        EXPECT_LT(prev, v) << "row " << u;
+      }
       prev = v;
       any  = true;
     }

@@ -17,13 +17,13 @@
 #endif
 
 #include "nwhy/algorithms/hyper_bfs.hpp"
-#include "nwhy/algorithms/hyper_cc.hpp"
 #include "nwhy/algorithms/sharded_traversal.hpp"
 #include "nwhy/gen/generators.hpp"
 #include "nwhy/io/csr_snapshot.hpp"
 #include "nwhy/io/io_error.hpp"
 #include "nwhy/io/shard.hpp"
 #include "nwhy/nwhypergraph.hpp"
+#include "nwobs/counters.hpp"
 #include "prop_harness.hpp"
 
 using namespace nw::hypergraph;
@@ -45,6 +45,13 @@ struct scratch_file {
     std::filesystem::remove(path, ec);
   }
 };
+
+/// The process-wide shard.passes counter (shard loads so far).
+std::uint64_t shard_passes() {
+  const auto counters = nw::obs::registry::get().counters_snapshot();
+  const auto it       = counters.find("shard.passes");
+  return it == counters.end() ? 0 : it->second;
+}
 
 /// RAII environment override restored (or unset) on scope exit.
 struct env_guard {
@@ -199,6 +206,7 @@ TEST(Shard, BfsMatchesInMemoryEngine) {
 }
 
 TEST(Shard, CcMatchesInMemoryEngine) {
+  std::size_t most_shards = 0;
   for (auto seed : nwtest::differential_seeds(0x5230)) {
     NWHY_SEED_TRACE(seed);
     NWHypergraph hg(gen::arbitrary_hypergraph(seed));
@@ -211,11 +219,16 @@ TEST(Shard, CcMatchesInMemoryEngine) {
       so.compress = (seed & 1) != 0;
       hg.save_csr_snapshot(f.path, so);
       sharded_snapshot snap(f.path);
-      auto             ooc = hyper_cc_sharded(snap);
+      const auto       passes = shard_passes();
+      auto             ooc    = hyper_cc_sharded(snap);
       ASSERT_EQ(mem.labels_edge, ooc.labels_edge);
       ASSERT_EQ(mem.labels_node, ooc.labels_node);
+      // One load per shard, however many sweeps label propagation would need.
+      EXPECT_EQ(shard_passes() - passes, snap.num_shards());
+      most_shards = std::max(most_shards, snap.num_shards());
     }
   }
+  EXPECT_GT(most_shards, 1u);
 }
 
 TEST(Shard, RelabeledShardedPipelineAnswersMatch) {

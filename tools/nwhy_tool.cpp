@@ -135,7 +135,7 @@ int cmd_components(const std::string& path) {
     all.insert(all.end(), n.begin(), n.end());
     return nw::graph::count_components(all);
   };
-  std::printf("HyperCC  (bipartite LP):    %zu components, %.2f ms\n",
+  std::printf("HyperCC  (adjoin LP):       %zu components, %.2f ms\n",
               count(exact.labels_edge, exact.labels_node), ms1);
   std::printf("AdjoinCC (adjoin Afforest): %zu components, %.2f ms\n",
               count(adjoin.labels_edge, adjoin.labels_node), ms2);
