@@ -1,13 +1,10 @@
 // bench/bench_micro.cpp — microbenchmarks of the performance-critical
-// building blocks: the epoch-clearing counting hashmap against
-// std::unordered_map (the data structure choice behind the hashmap s-line
-// algorithm), early-exit set intersection, parallel sort, and the
+// building blocks: early-exit set intersection, parallel sort, and the
 // materialization pipeline (parallel thread-buffer merge, bulk SoA
 // edge-list append, direct per-thread-buffers -> CSR build) whose thread
 // scaling bench_snapshot.sh snapshots into BENCH_slinegraph.json.
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
 #include <utility>
 
 #include "nwhy.hpp"
@@ -15,40 +12,6 @@
 namespace {
 
 using nw::vertex_id_t;
-
-/// Keys with a skewed repeat pattern, like hyperedge ids seen through
-/// shared hypernodes.
-const std::vector<vertex_id_t>& keys() {
-  static std::vector<vertex_id_t> k = [] {
-    nw::xoshiro256ss          rng(0xAB1E);
-    std::vector<vertex_id_t> out(1 << 16);
-    for (auto& x : out) x = static_cast<vertex_id_t>(rng.bounded(1 << 12));
-    return out;
-  }();
-  return k;
-}
-
-void BM_CountingHashmap(benchmark::State& state) {
-  nw::counting_hashmap<> map;
-  for (auto _ : state) {
-    map.clear();
-    for (auto k : keys()) map.increment(k);
-    std::uint64_t total = 0;
-    map.for_each([&](vertex_id_t, std::uint32_t c) { total += c; });
-    benchmark::DoNotOptimize(total);
-  }
-}
-
-void BM_StdUnorderedMap(benchmark::State& state) {
-  std::unordered_map<vertex_id_t, std::uint32_t> map;
-  for (auto _ : state) {
-    map.clear();
-    for (auto k : keys()) ++map[k];
-    std::uint64_t total = 0;
-    for (auto& [key, c] : map) total += c;
-    benchmark::DoNotOptimize(total);
-  }
-}
 
 void BM_IntersectionFull(benchmark::State& state) {
   nw::xoshiro256ss          rng(1);
@@ -297,8 +260,6 @@ void BM_FrontierScoutCount(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_CountingHashmap)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StdUnorderedMap)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IntersectionFull)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK(BM_IntersectionEarlyExit)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK(BM_ParallelSort)->Arg(1 << 18)->Unit(benchmark::kMillisecond);

@@ -106,7 +106,8 @@ PYBIND11_MODULE(nwhy, m) {
   m.doc() = "NWHy: parallel hypergraph analytics (paper Listing 5 API)";
 
   // Observability: the accumulated counter/timer registry as a JSON string
-  // (schema: {counters, timers, env, threads} — see DESIGN.md).  Kept as a
+  // (schema: {counters, timers, env, threads, hardware_concurrency, build,
+  // context} — see DESIGN.md).  Kept as a
   // string rather than a dict so the schema is identical to the C++ tools'
   // --profile output; callers `json.loads()` it.
   m.def("profile_snapshot", [] { return nw::obs::profile_json(); },

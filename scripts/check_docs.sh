@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # scripts/check_docs.sh — the doc-truth linter: docs/ and README.md may only
 # name things that exist in the tree, and production code may not call the
-# serial oracles.  Nine checks:
+# serial oracles.  Ten checks:
 #
 #   1. env knobs, both directions.  Every `NWHY_*` token in the docs must be
 #      read somewhere (a quoted "NWHY_*" string in src/tools/bench/tests/
@@ -42,7 +42,7 @@
 #      every storage <-> external id translation) and src/nwgraph/relabel.hpp.
 #      Comment-only lines are skipped.
 #   7. one overlap count (full run only).  No file under src/nwhy/ may call
-#      `.increment(` (the counting_hashmap update) outside the body of
+#      `.increment(` (the nw::sparse_accumulator update) outside the body of
 #      detail::count_overlaps in src/nwhy/slinegraph/construction.hpp, the
 #      one kernel every hyperedge-overlap count goes through.  Comment-only
 #      lines are skipped.
@@ -53,6 +53,10 @@
 #      `find` / `unite` member returning an id, or subscripts a `parent_`
 #      forest by hand.  Every other component labelling links into that
 #      forest.  Comment-only lines are skipped.
+#   9. oracle names, docs -> src/nwhy/ref/.  Every `ref::<name>` the docs
+#      cite must be defined at namespace scope (a function, struct, class
+#      or alias at column 0) in a header under src/nwhy/ref/, so a doc
+#      cannot point a reader at an oracle that does not exist.
 #
 # Usage:
 #   scripts/check_docs.sh                 lint docs/*.md + README.md (both
@@ -62,7 +66,8 @@
 #   scripts/check_docs.sh --self-test     negative tests: a synthetic doc
 #                                         citing a nonexistent knob, one
 #                                         citing a nonexistent nwhy_tool
-#                                         option, a
+#                                         option, one citing a nonexistent
+#                                         ref:: oracle, a
 #                                         synthetic source tree calling an
 #                                         oracle, one reading a knob its
 #                                         profiles omit, one indexing a
@@ -193,6 +198,18 @@ if [[ "${1:-}" == "--self-test" ]]; then
   fi
   if ! grep -q -- "--no-such-flag" "$TMP/out"; then
     echo "check_docs.sh: self-test FAILED — rejection did not name the bogus option" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  printf 'The oracle `ref::no_such_oracle` checks nothing; `ref::s_line_edges` exists.\n' \
+    >"$TMP/oracle.md"
+  if "$0" "$TMP/oracle.md" >"$TMP/out" 2>&1; then
+    echo "check_docs.sh: self-test FAILED — a doc citing ref::no_such_oracle passed" >&2
+    cat "$TMP/out" >&2
+    exit 1
+  fi
+  if ! grep -q "ref::no_such_oracle" "$TMP/out" || grep -q "ref::s_line_edges" "$TMP/out"; then
+    echo "check_docs.sh: self-test FAILED — rejection did not name exactly the bogus oracle" >&2
     cat "$TMP/out" >&2
     exit 1
   fi
@@ -369,7 +386,7 @@ KERNEL
     fi
     rm "$TMP/src/nwhy/algorithms/$name"
   done
-  echo "check_docs.sh: self-test OK (nonexistent knob and nwhy_tool option, production oracle use, unrecorded profile knob, hand-written relabel translation, overlap count outside count_overlaps and a second union-find rejected)"
+  echo "check_docs.sh: self-test OK (nonexistent knob, nwhy_tool option and ref:: oracle, production oracle use, unrecorded profile knob, hand-written relabel translation, overlap count outside count_overlaps and a second union-find rejected)"
   exit 0
 fi
 
@@ -480,6 +497,20 @@ for doc in "${DOCS[@]}"; do
       err "$doc: option '$opt' on an nwhy_tool line is not parsed by tools/nwhy_tool.cpp"
     fi
   done
+done
+
+# --- check 9: documented ref:: oracles exist -------------------------------
+
+# Names defined at namespace scope (column 0) in the oracle headers.
+REF_NAMES=$(grep -rhE '^[A-Za-z]' src/nwhy/ref/ 2>/dev/null \
+  | grep -oE '(struct|class|using)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*\(' \
+  | sed -E 's/^(struct|class|using)[[:space:]]+//; s/\($//' | sort -u)
+DOC_ORACLES=$(grep -hoE '(^|[^A-Za-z0-9_])ref::[A-Za-z_][A-Za-z0-9_]*' "${DOCS[@]}" 2>/dev/null \
+  | sed -E 's/^.*ref:://' | sort -u || true)
+for name in $DOC_ORACLES; do
+  if ! has_line "$name" "$REF_NAMES"; then
+    err "documented oracle ref::$name is not defined under src/nwhy/ref/"
+  fi
 done
 
 # --- check 4: the serial oracles stay out of production --------------------

@@ -61,7 +61,7 @@ case "$MODE" in
     # TSan (client threads included).
     "$BUILD"/tests/test_serve
     # The analytics engines: batched Brandes (CAS level claims + sigma/delta
-    # pulls) and the census with per-thread overlap maps and counters.
+    # pulls) and the census with per-thread overlap accumulators and counters.
     "$BUILD"/tests/test_betweenness
     "$BUILD"/tests/test_motif
     # The nwgraph substrate, for the afforest stress test: concurrent

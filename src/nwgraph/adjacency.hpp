@@ -33,7 +33,6 @@
 #include "nwgraph/edge_list.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwpar/parallel_scan.hpp"
-#include "nwutil/atomics.hpp"
 #include "nwutil/defs.hpp"
 
 namespace nw::graph {
@@ -258,83 +257,145 @@ public:
   [[nodiscard]] bool is_external() const { return external_; }
 
   /// Direct materialization of a *symmetric* CSR from per-thread buffers of
-  /// unique undirected {lo, hi} pairs — the s-line-graph fast path.  Skips
-  /// the edge_list round-trip (append + symmetrize + sort_and_unique +
-  /// counting-sort rebuild) entirely:
+  /// unique undirected pairs — the s-line-graph fast path.  Skips the
+  /// edge_list round-trip (append + symmetrize + sort_and_unique +
+  /// counting-sort rebuild), and sorts no row.  Row v is its lower half
+  /// (neighbours <= v) followed by its upper half (neighbours >= v):
   ///
-  ///   1. parallel degree histogram over the pair buffers (atomic
-  ///      fetch_add, both endpoints)
-  ///   2. parallel exclusive scan of the degrees -> row offsets
-  ///   3. parallel scatter of both directions of every pair
-  ///   4. parallel per-row sort (ascending neighbor ids, the order
-  ///      sort_and_unique used to establish)
+  ///   1. count each row's lower and upper neighbours; scan -> row offsets
+  ///   2. scatter each pair {a, b}, a <= b, into a's upper half, in no
+  ///      particular order
+  ///   3. transpose the upper halves into the lower halves, sources in
+  ///      ascending order, so every lower half comes out sorted
+  ///   4. transpose the lower halves back into the upper halves the same
+  ///      way, so every upper half comes out sorted
   ///
-  /// Precondition: each unordered pair appears in the buffers exactly once
-  /// (what every construction algorithm in slinegraph/construction.hpp
-  /// guarantees); self-loops are allowed but counted twice like the legacy
-  /// symmetrize path would.  Only available for the unattributed CSR.
-  /// `cap` controls per-thread buffer reuse, as in merge_thread_vectors.
+  /// All of it happens in place in the final targets array.  With T pool
+  /// contexts, steps 1-2 split the pairs into T contiguous ranges and steps
+  /// 3-4 split the source rows into T contiguous nnz-balanced blocks, each
+  /// with per-(row, thread) cursors laid out as in build_parallel: no step
+  /// needs an atomic, and the bytes are the same at every thread count.
+  ///
+  /// Precondition: each unordered pair appears in the buffers exactly once,
+  /// as {lo, hi} or {hi, lo} (what every construction algorithm in
+  /// slinegraph/construction.hpp guarantees); a self-loop {a, a} counts in
+  /// both halves of row a, so a appears there twice, as symmetrize gives
+  /// before its unique.  Only available for the unattributed CSR.  `cap`
+  /// controls per-thread buffer reuse, as in merge_thread_vectors.
   static adjacency from_unique_undirected_pairs(
       par::per_thread<std::vector<std::pair<vertex_id_t, vertex_id_t>>>& buffers,
       std::size_t n, par::merge_capacity cap = par::merge_capacity::release,
       par::thread_pool& pool = par::thread_pool::default_pool())
     requires(sizeof...(Attributes) == 0)
   {
-    adjacency g;
+    adjacency  g;
+    const auto T = static_cast<std::size_t>(pool.concurrency());
+    // Buffer b holds pairs [starts[b], starts[b + 1]) of the concatenation.
+    std::vector<std::size_t> starts(buffers.size() + 1, 0);
+    for (std::size_t b = 0; b < buffers.size(); ++b) {
+      starts[b + 1] = starts[b] + buffers.local(static_cast<unsigned>(b)).size();
+    }
+    const std::size_t total = starts.back();
+    const std::size_t m     = 2 * total;
+    const std::size_t chunk = (total + T - 1) / T;
+    // Thread t's pairs, [t·chunk, (t+1)·chunk) of the concatenation, as (lo, hi).
+    const auto for_pairs = [&](std::size_t t, auto&& fn) {
+      std::size_t       k   = std::min(t * chunk, total);
+      const std::size_t end = std::min(k + chunk, total);
+      auto b = static_cast<std::size_t>(std::upper_bound(starts.begin(), starts.end(), k) -
+                                        starts.begin()) - 1;
+      for (; k < end; ++b) {
+        const auto&       buf  = buffers.local(static_cast<unsigned>(b));
+        const std::size_t stop = std::min(end, starts[b + 1]);
+        for (; k < stop; ++k) {
+          const auto [x, y] = buf[k - starts[b]];
+          fn(std::min(x, y), std::max(x, y));
+        }
+      }
+    };
+
+    // 1. per-(row, thread) upper and lower counts -> offsets, and the lower
+    //    half's length in `mid` (then its end: the upper half's start).
+    std::vector<offset_t> upper(n * T, 0), lower(n * T, 0);
+    pool.run([&](unsigned t) {
+      for_pairs(t, [&](vertex_id_t a, vertex_id_t b) {
+        NW_ASSERT(b < n, "pair endpoint out of declared vertex range");
+        ++upper[a * T + t];
+        ++lower[b * T + t];
+      });
+    });
     g.n_ = n;
-    std::vector<std::size_t> sizes(buffers.size());
-    for (std::size_t b = 0; b < buffers.size(); ++b) sizes[b] = buffers.local(b).size();
-    std::size_t total  = 0;
-    auto        chunks = par::detail::plan_block_copies(sizes, 0, total, pool);
-    const std::size_t m = 2 * total;
-
-    // 1. degree histogram (both endpoints of every pair).
-    std::vector<offset_t> cursor(n, 0);
-    par::parallel_for(
-        0, chunks.size(),
-        [&](std::size_t c) {
-          const auto& ck  = chunks[c];
-          const auto& src = buffers.local(ck.buf);
-          for (std::size_t i = ck.src_begin; i < ck.src_begin + ck.len; ++i) {
-            auto [a, b] = src[i];
-            NW_ASSERT(a < n && b < n, "pair endpoint out of declared vertex range");
-            nw::fetch_add(cursor[a], offset_t{1});
-            nw::fetch_add(cursor[b], offset_t{1});
-          }
-        },
-        par::blocked{}, pool);
-
-    // 2. offsets; cursor then doubles as the per-row write cursor.
-    par::parallel_exclusive_scan(cursor, pool);
-    g.indices_store_.resize(n + 1);
-    par::parallel_for(0, n, [&](std::size_t v) { g.indices_store_[v] = cursor[v]; },
-                      par::blocked{}, pool);
-    g.indices_store_[n] = m;
-
-    // 3. scatter both directions.
-    g.targets_store_.resize(m);
-    par::parallel_for(
-        0, chunks.size(),
-        [&](std::size_t c) {
-          const auto& ck  = chunks[c];
-          const auto& src = buffers.local(ck.buf);
-          for (std::size_t i = ck.src_begin; i < ck.src_begin + ck.len; ++i) {
-            auto [a, b] = src[i];
-            g.targets_store_[nw::fetch_add(cursor[a], offset_t{1})] = b;
-            g.targets_store_[nw::fetch_add(cursor[b], offset_t{1})] = a;
-          }
-        },
-        par::blocked{}, pool);
-
-    // 4. sorted neighbor lists (intersection/triangle kernels rely on it).
+    g.indices_store_.assign(n + 1, 0);
+    std::vector<offset_t> mid(n);
     par::parallel_for(
         0, n,
         [&](std::size_t v) {
-          std::sort(g.targets_store_.begin() + static_cast<std::ptrdiff_t>(g.indices_store_[v]),
-                    g.targets_store_.begin() +
-                        static_cast<std::ptrdiff_t>(g.indices_store_[v + 1]));
+          offset_t lo = 0, hi = 0;
+          for (std::size_t t = 0; t < T; ++t) {
+            lo += lower[v * T + t];
+            hi += upper[v * T + t];
+          }
+          g.indices_store_[v] = lo + hi;
+          mid[v]              = lo;
         },
         par::blocked{}, pool);
+    par::parallel_exclusive_scan(g.indices_store_, pool);
+
+    // 2. scatter into the upper halves; upper[] becomes each (row, thread)'s
+    //    write cursor, starting at mid.
+    par::parallel_for(
+        0, n,
+        [&](std::size_t v) {
+          mid[v] += g.indices_store_[v];
+          offset_t c = mid[v];
+          for (std::size_t t = 0; t < T; ++t) c += std::exchange(upper[v * T + t], c);
+        },
+        par::blocked{}, pool);
+    g.targets_store_.resize(m);
+    vertex_id_t* const tgt = g.targets_store_.data();
+    pool.run([&](unsigned t) {
+      for_pairs(t, [&](vertex_id_t a, vertex_id_t b) { tgt[upper[a * T + t]++] = b; });
+    });
+
+    // 3-4. ordered transposes.  Thread t owns source rows [rows[t],
+    //    rows[t + 1]); it first counts what it sends to each target row (the
+    //    last thread need not), so cursor[x * T + t] starts past every
+    //    earlier thread's share of x's destination half.
+    std::vector<std::size_t> rows(T + 1, n);
+    for (std::size_t t = 0; t < T; ++t) {
+      rows[t] = static_cast<std::size_t>(
+          std::lower_bound(g.indices_store_.begin(), g.indices_store_.begin() + n, t * m / T) -
+          g.indices_store_.begin());
+    }
+    std::vector<offset_t>& cursor = lower;
+    const auto transpose = [&](auto from_begin, auto from_end, auto to_begin) {
+      std::fill(cursor.begin(), cursor.end(), offset_t{0});
+      pool.run([&](unsigned t) {
+        if (t + 1 == T) return;
+        for (std::size_t r = rows[t]; r < rows[t + 1]; ++r) {
+          for (offset_t k = from_begin(r); k < from_end(r); ++k) ++cursor[tgt[k] * T + t];
+        }
+      });
+      par::parallel_for(
+          0, n,
+          [&](std::size_t x) {
+            offset_t c = to_begin(x);
+            for (std::size_t t = 0; t < T; ++t) c += std::exchange(cursor[x * T + t], c);
+          },
+          par::blocked{}, pool);
+      pool.run([&](unsigned t) {
+        for (std::size_t r = rows[t]; r < rows[t + 1]; ++r) {
+          for (offset_t k = from_begin(r); k < from_end(r); ++k) {
+            tgt[cursor[tgt[k] * T + t]++] = static_cast<vertex_id_t>(r);
+          }
+        }
+      });
+    };
+    const auto row_begin = [&](std::size_t v) { return g.indices_store_[v]; };
+    const auto row_mid   = [&](std::size_t v) { return mid[v]; };
+    const auto row_end   = [&](std::size_t v) { return g.indices_store_[v + 1]; };
+    transpose(row_mid, row_end, row_begin);  // upper halves -> sorted lower halves
+    transpose(row_begin, row_mid, row_mid);  // lower halves -> sorted upper halves
 
     par::detail::reset_buffers(buffers, cap);
     g.rebind();

@@ -13,10 +13,11 @@
 //
 // Provided operations: construction from triplets or a bipartite edge
 // list, transpose, SpMV, and a parallel row-wise Gustavson SpGEMM whose
-// per-row accumulator is the same epoch-clearing hashmap the counting
+// per-row accumulator is the same dense sparse_accumulator the counting
 // s-line algorithms use.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -25,7 +26,7 @@
 #include "nwhy/biedgelist.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
+#include "nwutil/sparse_accumulator.hpp"
 
 namespace nw::sparse {
 
@@ -145,21 +146,23 @@ public:
     return y;
   }
 
-  /// C = A · B, parallel row-wise Gustavson with hashmap accumulation.
+  /// C = A · B, parallel row-wise Gustavson with a dense accumulator over
+  /// B's columns.  Each entry sums its products in loop order.
   [[nodiscard]] csr_matrix multiply(const csr_matrix& other) const {
     NW_ASSERT(cols_ == other.rows_, "spgemm dimension mismatch");
     csr_matrix c;
     c.rows_ = rows_;
     c.cols_ = other.cols_;
 
-    // Accumulate each result row in a private hashmap, buffer rows
-    // per-thread, then stitch the CSR together in row order.
+    // Accumulate each result row in a private accumulator, buffer rows,
+    // then stitch the CSR together in row order.
     struct row_entries {
       std::vector<vertex_id_t> cols;
       std::vector<T>           vals;
     };
-    std::vector<row_entries>                       result_rows(rows_);
-    par::per_thread<counting_hashmap<vertex_id_t, T>> maps;
+    std::vector<row_entries>                     result_rows(rows_);
+    par::per_thread<sparse_accumulator<T, true>> maps;
+    maps.for_each([&](sparse_accumulator<T, true>& acc) { acc.ensure_keys(other.cols_); });
     par::parallel_for(0, rows_, [&](unsigned tid, std::size_t r) {
       auto& acc = maps.local(tid);
       acc.clear();
@@ -170,25 +173,14 @@ public:
         auto        bv    = other.row_values(inner);
         for (std::size_t j = 0; j < bc.size(); ++j) acc.increment(bc[j], a * bv[j]);
       }
+      // The touched columns come in first-touch order: sort them, then
+      // read each value.
       auto& out = result_rows[r];
       out.cols.reserve(acc.size());
-      acc.for_each([&](vertex_id_t col, T val) {
-        out.cols.push_back(col);
-        out.vals.push_back(val);
-      });
-      // Hashmap iteration order is arbitrary: restore sorted columns.
-      std::vector<std::size_t> order(out.cols.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a2, std::size_t b2) { return out.cols[a2] < out.cols[b2]; });
-      row_entries sorted;
-      sorted.cols.reserve(order.size());
-      sorted.vals.reserve(order.size());
-      for (auto i : order) {
-        sorted.cols.push_back(out.cols[i]);
-        sorted.vals.push_back(out.vals[i]);
-      }
-      out = std::move(sorted);
+      acc.for_each([&](vertex_id_t col, T) { out.cols.push_back(col); });
+      std::sort(out.cols.begin(), out.cols.end());
+      out.vals.reserve(out.cols.size());
+      for (vertex_id_t col : out.cols) out.vals.push_back(acc.get(col));
     });
 
     c.row_ptr_.assign(rows_ + 1, 0);

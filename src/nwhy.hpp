@@ -5,7 +5,6 @@
 #include "nwutil/bitmap.hpp"
 #include "nwutil/defs.hpp"
 #include "nwutil/env.hpp"
-#include "nwutil/flat_hashmap.hpp"
 #include "nwutil/rng.hpp"
 #include "nwutil/stats.hpp"
 #include "nwutil/timer.hpp"

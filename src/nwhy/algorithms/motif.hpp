@@ -18,11 +18,11 @@
 //                 bipartite graph)
 //   butterflies   C(c, 2): the 2x2 bicliques {e, f} x {u, v}, each once
 //
-// and open_wedges = wedges - triads.  Cost: Σ_v C(d(v), 2) hashmap probes,
-// one per wedge.
+// and open_wedges = wedges - triads.  Cost: Σ_v C(d(v), 2) accumulator
+// increments, one per wedge.
 //
 // Parallel structure: parallel_for over hyperedges, a per-thread overlap
-// map, counts in par::per_thread slots merged at the end.  All counters
+// accumulator, counts in par::per_thread slots merged at the end.  All counters
 // are integers, so the merge is order-independent and the census is
 // deterministic at every thread count and schedule.
 //
@@ -38,7 +38,7 @@
 #include "nwobs/scope_timer.hpp"
 #include "nwpar/parallel_for.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
+#include "nwutil/sparse_accumulator.hpp"
 
 namespace nw::hypergraph {
 
@@ -61,8 +61,8 @@ struct motif_census {
 template <class EGraph, class NGraph>
 motif_census count_motifs(const EGraph& hyperedges, const NGraph& hypernodes) {
   NWOBS_SCOPE_TIMER("motif");
-  par::per_thread<counting_hashmap<>> maps;
-  par::per_thread<motif_census>       partial;
+  auto                          maps = detail::overlap_accumulators(hyperedges.size());
+  par::per_thread<motif_census> partial;
   par::parallel_for(0, hyperedges.size(), [&](unsigned tid, std::size_t i) {
     const auto        ei      = static_cast<vertex_id_t>(i);
     auto&             overlap = maps.local(tid);

@@ -148,6 +148,20 @@ inline bool simd_active() {
 #endif
 }
 
+/// The path block decodes take, as profiles record it.
+inline const char* simd_decode_path() {
+  if (!simd_active()) return NWHY_SIMD_DECODE ? "scalar (NWHY_SIMD=0)" : "scalar (no SIMD kernel)";
+#if defined(NWHY_SIMD_NEON)
+  return "neon";
+#else
+  return "ssse3";
+#endif
+}
+
+/// Every profile names the decode path (nwobs does not include nwhy/).
+inline const bool simd_decode_path_in_profiles =
+    (nw::obs::registry::get().set_context("simd_decode", &simd_decode_path), true);
+
 /// Wrapping-u32 zigzag of a delta: invertible mod 2^32, so even a
 /// "backwards" delta (unsorted row, crafted input) fits 4 encoded bytes.
 inline constexpr std::uint32_t zigzag(std::uint32_t delta) {

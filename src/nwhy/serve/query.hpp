@@ -26,9 +26,13 @@
 // stop hook — per frontier vertex in the s-line engines and in hyper_bfs's
 // top-down half-steps, once per bottom-up half-step — and throw
 // par::cancelled, which execute_query maps to status::deadline_exceeded.
+// The hook reads the clock on the first poll and then on every
+// k_deadline_poll_stride-th one only, so a frontier vertex does not pay a
+// steady_clock read.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -60,6 +64,9 @@ public:
 private:
   std::optional<clock::time_point> when_;
 };
+
+/// execute_query's stop hook reads the clock once per this many polls.
+inline constexpr std::uint32_t k_deadline_poll_stride = 64;
 
 /// One published, immutable, epoch-stamped hypergraph.  Everything a query
 /// needs, with no shared mutable state.
@@ -144,8 +151,13 @@ struct reply_data {
                                               const deadline_token& dl) {
   const auto& E    = g.gen->hyperedges;
   const auto& N    = g.gen->hypernodes;
-  const auto  stop = [&dl] { return dl.expired(); };
-  auto&       pool = query_pool();
+  // A relaxed atomic count keeps the hook safe to call from pool workers.
+  std::atomic<std::uint32_t> polls{0};
+  const auto                 stop = [&dl, &polls] {
+    return polls.fetch_add(1, std::memory_order_relaxed) % k_deadline_poll_stride == 0 &&
+           dl.expired();
+  };
+  auto& pool = query_pool();
   try {
     switch (op) {
       case opcode::stats: {

@@ -39,20 +39,25 @@
 // One overlap count: every hashmap algorithm here (hashmap, its CSR and
 // cyclic spellings, Algorithm 1, the ensemble, the neighbor-range variant),
 // the weighted build, the implicit s-rows, the incremental recount and the
-// motif census count |e_i ∩ e_j| with detail::count_overlaps; the parallel
-// ones run it through detail::overlap_pass, which emits each pair with
-// overlap >= s to a caller-supplied functor.
+// motif census count |e_i ∩ e_j| with detail::count_overlaps into a dense
+// per-thread nw::sparse_accumulator (a count array over the hyperedge ids
+// plus the list of ids the row touched); the parallel ones run it through
+// detail::overlap_pass, which emits each pair with overlap >= s to a
+// caller-supplied functor.  The "hashmap" in the algorithm names is the
+// paper's; the map is that dense accumulator.
 //
 // Materialization pipeline (this header's tail): every algorithm fills
 // per-thread pair buffers, which are drained by one of two parallel bulk
 // paths — edge_list::from_thread_buffers (size scan + parallel SoA
 // scatter) for the edge-list-returning entry points, or
-// adjacency<>::from_unique_undirected_pairs (parallel degree histogram +
-// scan + scatter + per-row sort) for the *_csr entry points that skip the
-// edge_list round-trip entirely.  Both run under the `slinegraph.merge` /
-// `slinegraph.csr_build` phase timers, and both leave the (process-wide,
-// reused) per-thread buffers with their capacity intact so bench loops,
-// the ensemble and implicit s-BFS do not re-fault pages every call.
+// adjacency<>::from_unique_undirected_pairs (per-row lower/upper counts,
+// one scatter into the upper halves, then two ordered transposes that
+// leave every row sorted without a sort) for the *_csr entry points that
+// skip the edge_list round-trip entirely.  Both run under the
+// `slinegraph.merge` / `slinegraph.csr_build` phase timers, and both
+// leave the (process-wide, reused) per-thread buffers with their capacity
+// intact so bench loops, the ensemble and implicit s-BFS do not re-fault
+// pages every call.
 #pragma once
 
 #include <memory>
@@ -71,7 +76,7 @@
 #include "nwpar/range_adaptors.hpp"
 #include "nwpar/work_stealing.hpp"  // the stealing partitioner is also accepted
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
+#include "nwutil/sparse_accumulator.hpp"
 
 namespace nw::hypergraph {
 
@@ -261,10 +266,11 @@ namespace detail {
 /// through the transpose `nodes` and count, for each hyperedge ej with
 /// keep(ej), how many members it shares with `row` — afterwards `overlap`
 /// maps ej to |row ∩ ej|.  Returns the number of increments (the hashmap
-/// probes).  The only code that increments an overlap map.
+/// probes).  The only code that increments an overlap accumulator; its
+/// key space must cover every id `nodes` holds (overlap_accumulators).
 template <class Row, class NGraph, class Keep>
 std::size_t count_overlaps(Row&& row, const NGraph& nodes, Keep keep,
-                           counting_hashmap<>& overlap) {
+                           sparse_accumulator<>& overlap) {
   overlap.clear();
   std::size_t probes = 0;
   for (auto&& ev : row) {
@@ -279,6 +285,14 @@ std::size_t count_overlaps(Row&& row, const NGraph& nodes, Keep keep,
   return probes;
 }
 
+/// One overlap accumulator per context of `pool`, each over ids [0, n).
+inline par::per_thread<sparse_accumulator<>> overlap_accumulators(
+    std::size_t n, par::thread_pool& pool = par::thread_pool::default_pool()) {
+  par::per_thread<sparse_accumulator<>> accs(pool);
+  accs.for_each([n](sparse_accumulator<>& a) { a.ensure_keys(n); });
+  return accs;
+}
+
 /// The parallel pass of the hashmap algorithms: for each k in [0, n), row
 /// ei = id_of(k) (skipped when deg[ei] < s) counts its overlaps with every
 /// larger-id hyperedge of degree >= s, and `emit(tid, ei, ej, c)` receives
@@ -288,7 +302,7 @@ template <class EGraph, class NGraph, class IdOf, class Partition, class Emit>
 void overlap_pass(const EGraph& edges, const NGraph& nodes, const std::vector<std::size_t>& deg,
                   std::size_t s, std::size_t n, IdOf id_of, Partition part, Emit emit) {
   NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
-  par::per_thread<counting_hashmap<>> maps;
+  auto maps = overlap_accumulators(deg.size());
   par::parallel_for(
       0, n,
       [&](unsigned tid, std::size_t k) {
@@ -357,8 +371,8 @@ nw::graph::edge_list<> to_two_graph_hashmap(const EGraph& edges, const NGraph& n
 /// global sort.  Identical edge set to
 /// adjacency<>(sort_and_unique(symmetrize(to_two_graph_hashmap(...)))).
 /// A non-empty `id_map` (a permutation of the row ids) renames the
-/// vertices: pairs stay unique and the per-row sort yields the same CSR as
-/// a build over the renamed rows.
+/// vertices: pairs stay unique and the sorted-row assembly yields the same
+/// CSR as a build over the renamed rows.
 template <class EGraph, class NGraph, class Partition = par::blocked>
 nw::graph::adjacency<> to_two_graph_hashmap_csr(const EGraph& edges, const NGraph& nodes,
                                                 const std::vector<std::size_t>& edge_degrees,
@@ -493,8 +507,8 @@ nw::graph::edge_list<> to_two_graph_neighbor_range(const EGraph& edges, const NG
   NWOBS_SCOPE_TIMER("slinegraph.neighbor_range");
   NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   const std::size_t ne  = edges.size();
-  auto&             out = detail::pair_buffers(0);
-  par::per_thread<counting_hashmap<>> maps;
+  auto&             out  = detail::pair_buffers(0);
+  auto              maps = detail::overlap_accumulators(edge_degrees.size());
   par::for_each_cyclic_neighborhood(
       edges, num_bins, [&](unsigned tid, std::size_t i, auto&& neighborhood) {
         const vertex_id_t ei = static_cast<vertex_id_t>(i);

@@ -2,12 +2,13 @@
 //
 // Implicit s-line-graph traversal: s-BFS distances, s-distance,
 // s-connected-components and s-neighbors that never materialize L_s(H).
-// The s-neighborhood of a hyperedge is discovered on the fly by hashmap
-// overlap counting — the same kernel the construction algorithms use, but
-// the pairs are consumed immediately instead of stored.  Every traversal
-// runs on one level loop (detail::s_bfs_flood), which takes the thread
-// pool and a stop hook as parameters; the query server calls these same
-// engines on a one-context pool with its deadline as the hook.
+// The s-neighborhood of a hyperedge is discovered on the fly by overlap
+// counting into a dense per-thread accumulator — the same kernel the
+// construction algorithms use, but the pairs are consumed immediately
+// instead of stored.  Every traversal runs on one level loop
+// (detail::s_bfs_flood), which takes the thread pool and a stop hook as
+// parameters; the query server calls these same engines on a one-context
+// pool with its deadline as the hook.
 //
 // Why it exists: the clique-expansion/line-graph blow-up the paper
 // discusses (Sec. III-B.3) applies to L_1 of dense hypergraphs too — on
@@ -27,7 +28,7 @@
 #include "nwpar/frontier.hpp"
 #include "nwutil/atomics.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
+#include "nwutil/sparse_accumulator.hpp"
 
 namespace nw::hypergraph {
 
@@ -38,7 +39,7 @@ namespace detail {
 template <class EGraph, class NGraph, class Fn>
 void for_each_s_neighbor(const EGraph& edges, const NGraph& nodes,
                          const std::vector<std::size_t>& edge_degrees, std::size_t s,
-                         vertex_id_t ei, counting_hashmap<>& overlap, Fn&& fn) {
+                         vertex_id_t ei, sparse_accumulator<>& overlap, Fn&& fn) {
   count_overlaps(
       edges[ei], nodes,
       [ei, d = edge_degrees.data(), s](vertex_id_t ej) { return ej != ei && d[ej] >= s; },
@@ -48,22 +49,22 @@ void for_each_s_neighbor(const EGraph& edges, const NGraph& nodes,
   });
 }
 
-/// Scratch of the implicit s-BFS: per-thread overlap maps and the frontier
-/// pair.  Kept across levels and, for s-CC, across floods, so once a
-/// traversal reaches its high-water mark no level allocates.
+/// Scratch of the implicit s-BFS: per-thread overlap accumulators over the
+/// ne hyperedge ids and the frontier pair.  Kept across levels and, for
+/// s-CC, across floods, so no level allocates.
 struct s_bfs_scratch {
   s_bfs_scratch(std::size_t ne, par::thread_pool& p)
-      : pool(p), maps(p), frontier(ne, p), next(ne, p) {}
+      : pool(p), maps(overlap_accumulators(ne, p)), frontier(ne, p), next(ne, p) {}
 
-  par::thread_pool&                   pool;
-  par::per_thread<counting_hashmap<>> maps;
-  par::frontier                       frontier, next;
+  par::thread_pool&                     pool;
+  par::per_thread<sparse_accumulator<>> maps;
+  par::frontier                         frontier, next;
 };
 
 /// The implicit s-BFS level loop, shared by every engine below: one
 /// par::push_step per level whose rows are the s-neighbourhoods, counted
-/// on the per-thread overlap maps.  Floods from `src`, which the caller
-/// has already claimed in `mark`; each level claims undiscovered
+/// on the per-thread overlap accumulators.  Floods from `src`, which the
+/// caller has already claimed in `mark`; each level claims undiscovered
 /// s-neighbours by CAS, writing `value_of(level)` into `mark`: the level
 /// for distances, the seed for component labels.  When `target` is
 /// claimed, the remaining vertices of that frontier are skipped and the
@@ -165,7 +166,7 @@ std::vector<vertex_id_t> s_neighbors_implicit(const EGraph& edges, const NGraph&
                                               std::size_t s, vertex_id_t ei) {
   NW_ASSERT(s >= 1, "s-line kernels need s >= 1");
   std::vector<vertex_id_t> out;
-  counting_hashmap<>       overlap;
+  sparse_accumulator<>     overlap(edge_degrees.size());
   detail::for_each_s_neighbor(edges, nodes, edge_degrees, s, ei, overlap,
                               [&](vertex_id_t ej) { out.push_back(ej); });
   std::sort(out.begin(), out.end());

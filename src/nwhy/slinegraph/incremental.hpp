@@ -46,7 +46,7 @@
 #include "nwhy/nwhypergraph.hpp"
 #include "nwhy/slinegraph/construction.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
+#include "nwutil/sparse_accumulator.hpp"
 
 namespace nw::hypergraph {
 
@@ -151,12 +151,12 @@ public:
     }
     // Recount overlaps against e alone — the only dirty endpoint.
     if (active(e)) {
-      counting_hashmap<> overlap;
+      overlap_.ensure_keys(inc_.edges().size());
       detail::count_overlaps(
           inc_.edges()[e], inc_.nodes(),
-          [this, e](vertex_id_t f) { return f != e && active(f); }, overlap);
+          [this, e](vertex_id_t f) { return f != e && active(f); }, overlap_);
       std::vector<vertex_id_t> nbrs;
-      overlap.for_each([&](vertex_id_t f, std::uint32_t n) {
+      overlap_.for_each([&](vertex_id_t f, std::uint32_t n) {
         if (n >= s_) nbrs.push_back(f);
       });
       std::sort(nbrs.begin(), nbrs.end());
@@ -232,6 +232,7 @@ private:
   std::vector<std::vector<vertex_id_t>> adj_;  ///< line-graph adjacency, sorted
   mutable std::vector<vertex_id_t>      parent_;  ///< link_roots forest over adj_
   mutable bool                          cc_valid_ = false;
+  sparse_accumulator<>                  overlap_;  ///< update_edge's recount scratch
 };
 
 /// The toplex set maintained under hyperedge updates.  Keeps a dominance

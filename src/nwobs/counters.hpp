@@ -176,6 +176,21 @@ public:
     return {timers_.begin(), timers_.end()};
   }
 
+  /// Register a fact about what shapes this process's measurements, read
+  /// by `read()` whenever a profile is written (a higher layer names what
+  /// nwobs cannot see, e.g. the SIMD decode path).  reset() keeps it.
+  void set_context(std::string_view name, const char* (*read)()) {
+    std::lock_guard lock(mu_);
+    context_.insert_or_assign(std::string(name), read);
+  }
+
+  [[nodiscard]] std::map<std::string, std::string> context_snapshot() const {
+    std::lock_guard                    lock(mu_);
+    std::map<std::string, std::string> out;
+    for (const auto& [name, read] : context_) out[name] = read();
+    return out;
+  }
+
   /// Zero all counters/gauges in place and drop timer aggregates.  Cached
   /// counter references remain valid.  Only call outside parallel regions.
   void reset() {
@@ -192,6 +207,7 @@ private:
   std::map<std::string, std::unique_ptr<counter>, std::less<>>     counters_;
   std::map<std::string, std::unique_ptr<gauge>, std::less<>>       gauges_;
   std::map<std::string, timer_stat, std::less<>>                   timers_;
+  std::map<std::string, const char* (*)(), std::less<>>            context_;
 };
 
 }  // namespace nw::obs

@@ -7,7 +7,10 @@
 //     "counters": { "<family>.<metric>": <uint>, ... },   // counters + gauges
 //     "timers":   { "<phase>": {"count": n, "total_ms": x, "max_ms": y}, ... },
 //     "env":      { "NWHY_NUM_THREADS": "8" | null, ... },
-//     "threads":  <default pool concurrency>
+//     "threads":  <default pool concurrency>,
+//     "hardware_concurrency": <std::thread::hardware_concurrency()>,
+//     "build":    {"type": "Release" | ... | "unspecified", "assertions": "on" | "off"},
+//     "context":  { "simd_decode": "ssse3", ... }   // registry::set_context
 //   }
 //
 // The profile is what makes a perf regression diagnosable from counter
@@ -22,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "nwobs/counters.hpp"
 #include "nwpar/thread_pool.hpp"
@@ -73,9 +77,22 @@ inline constexpr const char* recorded_env[] = {
     "NWHY_BETWEENNESS_BATCH",  "NWHY_BETWEENNESS_SAMPLES", "NWHY_SHARD_TARGET_BYTES",
 };
 
+/// CMAKE_BUILD_TYPE, passed in by the root CMakeLists.txt.
+#if defined(NWHY_BUILD_TYPE)
+inline constexpr const char* build_type = NWHY_BUILD_TYPE;
+#else
+inline constexpr const char* build_type = "unspecified";
+#endif
+#ifdef NDEBUG
+inline constexpr const char* assertions = "off";
+#else
+inline constexpr const char* assertions = "on";
+#endif
+
 }  // namespace detail
 
-/// Serialize the full registry (counters+gauges, timers, env, threads).
+/// Serialize the full registry (counters+gauges, timers, env, threads) and
+/// what shaped the measurement (hardware, build, registered context).
 inline std::string profile_json() {
   const registry& reg = registry::get();
   std::string     out;
@@ -116,8 +133,24 @@ inline std::string profile_json() {
     }
   }
   out += "\n  },\n";
-  out += "  \"threads\": " +
-         std::to_string(nw::par::thread_pool::default_pool().concurrency()) + "\n}\n";
+  out.append("  \"threads\": ")
+      .append(std::to_string(nw::par::thread_pool::default_pool().concurrency()))
+      .append(",\n  \"hardware_concurrency\": ")
+      .append(std::to_string(std::thread::hardware_concurrency()))
+      .append(",\n  \"build\": {\"type\": \"")
+      .append(json_escape(detail::build_type))
+      .append("\", \"assertions\": \"")
+      .append(detail::assertions)
+      .append("\"},\n");
+  out += "  \"context\": {";
+  first = true;
+  for (const auto& [name, v] : reg.context_snapshot()) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out.append("    \"").append(json_escape(name)).append("\": \"");
+    out.append(json_escape(v)).append("\"");
+  }
+  out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;
 }
 

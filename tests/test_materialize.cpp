@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "nwhy/gen/generators.hpp"
+#include "nwhy/nwhypergraph.hpp"
 #include "nwhy/slinegraph/construction.hpp"
+#include "prop_harness.hpp"
 #include "test_util.hpp"
 
 using namespace nw::hypergraph;
@@ -317,6 +319,89 @@ TEST(CsrFromBuffers, SingleThreadPool) {
   auto direct = nw::graph::adjacency<>::from_unique_undirected_pairs(buffers, n);
   EXPECT_EQ(canonical_csr_pairs(direct),
             canonical_csr_pairs(legacy_csr(pairs, n)));
+}
+
+TEST(CsrFromBuffers, SelfLoopCountsInBothHalves) {
+  // A self-loop {a, a} appears twice in row a, between its lower and upper
+  // neighbours: symmetrize without the unique.
+  for (unsigned threads : {1u, 2u, 4u}) {
+    nw::par::thread_pool                     pool(threads);
+    nw::par::per_thread<std::vector<pair_t>> buffers(pool);
+    const pairs_t pairs{{1, 3}, {3, 3}, {3, 5}, {0, 0}, {2, 3}, {5, 6}};
+    scatter_to_buffers(pairs, buffers);
+    auto csr = nw::graph::adjacency<>::from_unique_undirected_pairs(
+        buffers, 7, nw::par::merge_capacity::keep, pool);
+    const auto row = [&](std::size_t u) {
+      std::vector<vertex_id_t> out;
+      for (auto&& e : csr[u]) out.push_back(target(e));
+      return out;
+    };
+    EXPECT_EQ(csr.num_edges(), 2 * pairs.size());
+    EXPECT_EQ(row(0), (std::vector<vertex_id_t>{0, 0})) << threads;
+    EXPECT_EQ(row(3), (std::vector<vertex_id_t>{1, 2, 3, 3, 5})) << threads;
+    EXPECT_EQ(row(5), (std::vector<vertex_id_t>{3, 6})) << threads;
+  }
+}
+
+TEST(CsrFromBuffers, AcceptsPairsGivenHighLow) {
+  // The contract takes each unordered pair once in either orientation.
+  auto pairs = make_unique_pairs(20000, 13);
+  auto n     = pair_id_bound(pairs);
+  auto want  = legacy_csr(pairs, n);
+  for (std::size_t i = 0; i < pairs.size(); i += 2) std::swap(pairs[i].first, pairs[i].second);
+  for (unsigned threads : {1u, 3u, 4u}) {
+    nw::par::thread_pool                     pool(threads);
+    nw::par::per_thread<std::vector<pair_t>> buffers(pool);
+    scatter_to_buffers(pairs, buffers);
+    auto got = nw::graph::adjacency<>::from_unique_undirected_pairs(
+        buffers, n, nw::par::merge_capacity::keep, pool);
+    EXPECT_EQ(std::vector(got.indices().begin(), got.indices().end()),
+              std::vector(want.indices().begin(), want.indices().end()))
+        << threads;
+    EXPECT_EQ(std::vector(got.targets().begin(), got.targets().end()),
+              std::vector(want.targets().begin(), want.targets().end()))
+        << threads;
+  }
+}
+
+TEST(CsrFromBuffers, SLineGraphBytesIdenticalAcrossThreadsAndRelabel) {
+  // A Friendster-shaped input (Zipf edge sizes up to 128, Zipf node
+  // popularity) plus three hub nodes that join every 5th, 7th and 11th
+  // hyperedge, so some rows of L_s are long and unevenly spread over the
+  // pair buffers.  Every build must give the 1-thread plain build's bytes,
+  // and its s = 2 rows must be the serial oracle's.
+  nwtest::concurrency_guard guard;
+  auto el = gen::powerlaw_hypergraph(1500, 7500, 128, 1.2, 0.8, 0xF51E);
+  for (vertex_id_t e = 0; e < 1500; ++e) {
+    for (vertex_id_t hub = 0; hub < 3; ++hub) {
+      if (e % (hub == 0 ? 5 : hub == 1 ? 7 : 11) == 0) el.push_back(e, hub);
+    }
+  }
+  el.sort_and_unique();
+  const auto as_vector = [](auto span) { return std::vector(span.begin(), span.end()); };
+  for (std::size_t s : {std::size_t{2}, std::size_t{8}}) {
+    nw::par::thread_pool::set_default_concurrency(1);
+    const auto want         = NWHypergraph(el).make_s_linegraph(s);
+    const auto want_indices = as_vector(want.graph().indices());
+    const auto want_targets = as_vector(want.graph().targets());
+    if (s == 2) {
+      auto oracle = ref::s_line_edges(ref::from_biedgelist(el), 2);
+      ASSERT_FALSE(oracle.empty());
+      EXPECT_EQ(canonical_csr_pairs(want.graph()), oracle);
+    }
+    for (unsigned threads : nwtest::differential_thread_counts()) {
+      nw::par::thread_pool::set_default_concurrency(threads);
+      for (bool relabel : {false, true}) {
+        NWHypergraph h(el);
+        if (relabel) h.relabel_by_degree();
+        const auto got = h.make_s_linegraph(s);
+        ASSERT_EQ(as_vector(got.graph().indices()), want_indices)
+            << "s=" << s << " threads=" << threads << " relabel=" << relabel;
+        ASSERT_EQ(as_vector(got.graph().targets()), want_targets)
+            << "s=" << s << " threads=" << threads << " relabel=" << relabel;
+      }
+    }
+  }
 }
 
 // --- construction algorithms through the bulk path --------------------------

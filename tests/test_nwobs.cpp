@@ -1,6 +1,7 @@
 // tests/test_nwobs.cpp — the observability layer (PR tentpole): counter
 // merge semantics under every partitioner, gauges, phase timers, the JSON
-// profile schema ({counters, timers, env, threads}) and the pinned counter
+// profile schema ({counters, timers, env, threads, hardware_concurrency,
+// build, context}) and the pinned counter
 // names each instrumented algorithm family emits.
 #include <gtest/gtest.h>
 
@@ -466,12 +467,15 @@ TEST_F(NwobsTest, ProfileJsonHasPinnedSchema) {
   mini_json::value root;
   ASSERT_TRUE(mini_json::parse(nw::obs::profile_json(), root)) << nw::obs::profile_json();
   ASSERT_EQ(root.k, mini_json::value::kind::object);
-  // Top-level sections, exactly these four.
+  // Top-level sections, exactly these seven.
   ASSERT_TRUE(root.members.contains("counters"));
   ASSERT_TRUE(root.members.contains("timers"));
   ASSERT_TRUE(root.members.contains("env"));
   ASSERT_TRUE(root.members.contains("threads"));
-  EXPECT_EQ(root.members.size(), 4u);
+  ASSERT_TRUE(root.members.contains("hardware_concurrency"));
+  ASSERT_TRUE(root.members.contains("build"));
+  ASSERT_TRUE(root.members.contains("context"));
+  EXPECT_EQ(root.members.size(), 7u);
 
   const auto& counters = root.members.at("counters");
   ASSERT_EQ(counters.k, mini_json::value::kind::object);
@@ -506,6 +510,34 @@ TEST_F(NwobsTest, ProfileJsonHasPinnedSchema) {
 
   EXPECT_EQ(root.members.at("threads").k, mini_json::value::kind::number);
   EXPECT_GE(root.members.at("threads").num, 1.0);
+}
+
+TEST_F(NwobsTest, ProfileRecordsWhatShapedTheMeasurement) {
+  mini_json::value root;
+  ASSERT_TRUE(mini_json::parse(nw::obs::profile_json(), root)) << nw::obs::profile_json();
+  const auto& hw = root.members.at("hardware_concurrency");
+  EXPECT_EQ(hw.k, mini_json::value::kind::number);
+  EXPECT_EQ(hw.num, static_cast<double>(std::thread::hardware_concurrency()));
+
+  const auto& build = root.members.at("build");
+  ASSERT_EQ(build.k, mini_json::value::kind::object);
+  ASSERT_TRUE(build.members.contains("type"));
+  EXPECT_EQ(build.members.at("type").str, std::string(nw::obs::detail::build_type));
+  EXPECT_FALSE(build.members.at("type").str.empty());
+#ifdef NDEBUG
+  EXPECT_EQ(build.members.at("assertions").str, "off");
+#else
+  EXPECT_EQ(build.members.at("assertions").str, "on");
+#endif
+
+  // The nwhy side registers the SIMD decode path; reset() keeps it.
+  registry::get().reset();
+  ASSERT_TRUE(mini_json::parse(nw::obs::profile_json(), root));
+  const auto& context = root.members.at("context");
+  ASSERT_EQ(context.k, mini_json::value::kind::object);
+  ASSERT_TRUE(context.members.contains("simd_decode"));
+  EXPECT_EQ(context.members.at("simd_decode").str, svb::simd_decode_path());
+  EXPECT_EQ(std::string(svb::simd_decode_path()).rfind("scalar", 0) == 0, !svb::simd_active());
 }
 
 TEST_F(NwobsTest, WriteProfileRoundTripsThroughDisk) {

@@ -1,6 +1,8 @@
 // tests/test_nwutil.cpp — unit tests for the utility layer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <algorithm>
 #include <set>
 #include <thread>
@@ -10,7 +12,7 @@
 #include "nwutil/atomics.hpp"
 #include "nwutil/bitmap.hpp"
 #include "nwutil/defs.hpp"
-#include "nwutil/flat_hashmap.hpp"
+#include "nwutil/sparse_accumulator.hpp"
 #include "nwutil/rng.hpp"
 #include "nwutil/stats.hpp"
 #include "nwutil/timer.hpp"
@@ -171,39 +173,80 @@ TEST(Atomics, FetchAddAccumulates) {
   EXPECT_EQ(x, 4000u);
 }
 
-// --- counting_hashmap -----------------------------------------------------
+// --- sparse_accumulator ---------------------------------------------------
 
-TEST(CountingHashmap, IncrementAndGet) {
-  counting_hashmap<> map;
-  map.increment(10);
-  map.increment(10);
-  map.increment(20, 5);
-  EXPECT_EQ(map.get(10), 2u);
-  EXPECT_EQ(map.get(20), 5u);
-  EXPECT_EQ(map.get(30), 0u);
-  EXPECT_EQ(map.size(), 2u);
+TEST(SparseAccumulator, IncrementAndGet) {
+  sparse_accumulator<> acc(64);
+  acc.increment(10);
+  acc.increment(10);
+  acc.increment(20, 5);
+  EXPECT_EQ(acc.get(10), 2u);
+  EXPECT_EQ(acc.get(20), 5u);
+  EXPECT_EQ(acc.get(30), 0u);
+  EXPECT_EQ(acc.size(), 2u);
 }
 
-TEST(CountingHashmap, ClearIsComplete) {
-  counting_hashmap<> map;
-  for (vertex_id_t k = 0; k < 100; ++k) map.increment(k);
-  map.clear();
-  EXPECT_EQ(map.size(), 0u);
-  for (vertex_id_t k = 0; k < 100; ++k) EXPECT_EQ(map.get(k), 0u);
+TEST(SparseAccumulator, ClearIsComplete) {
+  // Clearing between rows: the next row sees none of the last one.
+  sparse_accumulator<> acc(100);
+  for (vertex_id_t k = 0; k < 100; ++k) acc.increment(k);
+  acc.clear();
+  EXPECT_EQ(acc.size(), 0u);
+  for (vertex_id_t k = 0; k < 100; ++k) EXPECT_EQ(acc.get(k), 0u);
+  acc.increment(7);
+  std::vector<vertex_id_t> seen;
+  acc.for_each([&](vertex_id_t k, std::uint32_t c) {
+    seen.push_back(k);
+    EXPECT_EQ(c, 1u);
+  });
+  EXPECT_EQ(seen, std::vector<vertex_id_t>{7});
 }
 
-TEST(CountingHashmap, GrowsPastInitialCapacity) {
-  counting_hashmap<> map(4);
-  for (vertex_id_t k = 0; k < 10000; ++k) map.increment(k, k + 1);
-  EXPECT_EQ(map.size(), 10000u);
-  for (vertex_id_t k = 0; k < 10000; k += 997) EXPECT_EQ(map.get(k), k + 1);
+TEST(SparseAccumulator, BoundaryIds) {
+  // Ids 0 and n - 1 are ordinary keys: 0 is not mistaken for "empty" and
+  // n - 1 is inside the array.
+  constexpr std::size_t n = 1000;
+  sparse_accumulator<>  acc(n);
+  acc.increment(0);
+  acc.increment(static_cast<vertex_id_t>(n - 1), 3);
+  acc.increment(0);
+  EXPECT_EQ(acc.size(), 2u);
+  EXPECT_EQ(acc.get(0), 2u);
+  EXPECT_EQ(acc.get(static_cast<vertex_id_t>(n - 1)), 3u);
+  std::vector<std::pair<vertex_id_t, std::uint32_t>> seen;
+  acc.for_each([&](vertex_id_t k, std::uint32_t c) { seen.push_back({k, c}); });
+  EXPECT_EQ(seen, (std::vector<std::pair<vertex_id_t, std::uint32_t>>{{0, 2}, {n - 1, 3}}));
+  acc.clear();
+  EXPECT_EQ(acc.get(0), 0u);
+  EXPECT_EQ(acc.get(static_cast<vertex_id_t>(n - 1)), 0u);
 }
 
-TEST(CountingHashmap, ForEachVisitsAllOnce) {
-  counting_hashmap<> map;
-  for (vertex_id_t k = 0; k < 500; ++k) map.increment(k * 3, 2);
+TEST(SparseAccumulator, ReuseAfterLargeRow) {
+  // A row touching every key, then small rows: each small row sees only
+  // its own keys, and ensure_keys never shrinks the key space.
+  sparse_accumulator<> acc(4);
+  acc.ensure_keys(10000);
+  for (vertex_id_t k = 0; k < 10000; ++k) acc.increment(k, k + 1);
+  EXPECT_EQ(acc.size(), 10000u);
+  for (vertex_id_t k = 0; k < 10000; k += 997) EXPECT_EQ(acc.get(k), k + 1);
+  acc.clear();
+  acc.ensure_keys(16);  // grows only: key 9999 stays valid
+  for (int row = 0; row < 3; ++row) {
+    acc.clear();
+    acc.increment(static_cast<vertex_id_t>(9999 - row));
+    acc.increment(static_cast<vertex_id_t>(row));
+    EXPECT_EQ(acc.size(), 2u);
+    std::uint64_t sum = 0;
+    acc.for_each([&](vertex_id_t, std::uint32_t c) { sum += c; });
+    EXPECT_EQ(sum, 2u);
+  }
+}
+
+TEST(SparseAccumulator, ForEachVisitsAllOnce) {
+  sparse_accumulator<> acc(1500);
+  for (vertex_id_t k = 0; k < 500; ++k) acc.increment(k * 3, 2);
   std::unordered_map<vertex_id_t, std::uint32_t> seen;
-  map.for_each([&](vertex_id_t k, std::uint32_t c) { seen[k] += c; });
+  acc.for_each([&](vertex_id_t k, std::uint32_t c) { seen[k] += c; });
   EXPECT_EQ(seen.size(), 500u);
   for (auto& [k, c] : seen) {
     EXPECT_EQ(k % 3, 0u);
@@ -211,27 +254,43 @@ TEST(CountingHashmap, ForEachVisitsAllOnce) {
   }
 }
 
-TEST(CountingHashmap, ReuseAcrossManyEpochs) {
-  counting_hashmap<> map;
+TEST(SparseAccumulator, ReuseAcrossManyRows) {
+  sparse_accumulator<> acc(1000);
   for (int round = 0; round < 1000; ++round) {
-    map.clear();
-    map.increment(static_cast<vertex_id_t>(round));
-    EXPECT_EQ(map.size(), 1u);
-    EXPECT_EQ(map.get(static_cast<vertex_id_t>(round)), 1u);
+    acc.clear();
+    acc.increment(static_cast<vertex_id_t>(round));
+    EXPECT_EQ(acc.size(), 1u);
+    EXPECT_EQ(acc.get(static_cast<vertex_id_t>(round)), 1u);
   }
 }
 
-TEST(CountingHashmap, MatchesUnorderedMapOnRandomWorkload) {
-  counting_hashmap<>                             map;
+TEST(SparseAccumulator, MatchesUnorderedMapOnRandomWorkload) {
+  sparse_accumulator<>                           acc(512);
   std::unordered_map<vertex_id_t, std::uint32_t> ref;
   xoshiro256ss                                   rng(99);
   for (int i = 0; i < 20000; ++i) {
     auto k = static_cast<vertex_id_t>(rng.bounded(512));
-    map.increment(k);
+    acc.increment(k);
     ref[k]++;
   }
-  for (auto& [k, c] : ref) EXPECT_EQ(map.get(k), c);
-  EXPECT_EQ(map.size(), ref.size());
+  for (auto& [k, c] : ref) EXPECT_EQ(acc.get(k), c);
+  EXPECT_EQ(acc.size(), ref.size());
+}
+
+TEST(SparseAccumulator, StructuralKeepsZeroSums) {
+  // SpGEMM's accumulator: a sum that cancels is still an entry.
+  sparse_accumulator<double, true> acc(8);
+  acc.increment(3, 1.5);
+  acc.increment(3, -1.5);
+  acc.increment(5, 0.0);
+  EXPECT_EQ(acc.size(), 2u);
+  EXPECT_EQ(acc.get(3), 0.0);
+  acc.increment(6, -0.0);  // a first delta is stored as given
+  EXPECT_TRUE(std::signbit(acc.get(6)));
+  acc.clear();
+  acc.increment(3, 2.0);
+  EXPECT_EQ(acc.size(), 1u);
+  EXPECT_EQ(acc.get(3), 2.0);
 }
 
 // --- stats -----------------------------------------------------------------
