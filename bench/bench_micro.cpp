@@ -1,5 +1,6 @@
 // bench/bench_micro.cpp — microbenchmarks of the performance-critical
-// building blocks: early-exit set intersection, parallel sort, and the
+// building blocks: early-exit set intersection, parallel sort, the
+// s-overlap count every hashmap s-line build rests on, and the
 // materialization pipeline (parallel thread-buffer merge, bulk SoA
 // edge-list append, direct per-thread-buffers -> CSR build) whose thread
 // scaling bench_snapshot.sh snapshots into BENCH_slinegraph.json.
@@ -162,6 +163,54 @@ void BM_CsrFromBuffers(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kPairs));
 }
 
+// --- the s-overlap count ----------------------------------------------------
+//
+// detail::count_overlaps over the upper-triangle row tails plus the
+// accumulator's threshold walk, serially over every row of a
+// Friendster-shaped hypergraph (Zipf edge sizes up to 128, Zipf node
+// popularity): the per-row work of overlap_pass without its thread pool
+// or pair buffers.  Arg = s; items = accumulator increments.
+
+struct overlap_input {
+  nw::hypergraph::biadjacency<0> edges;
+  nw::hypergraph::biadjacency<1> nodes;
+  std::vector<std::size_t>       degrees;
+};
+
+const overlap_input& friendster_rows() {
+  static const overlap_input in = [] {
+    auto el = nw::hypergraph::gen::powerlaw_hypergraph(8000, 40000, 128, 1.2, 0.8, 0x0C0F);
+    el.sort_and_unique();
+    overlap_input out{nw::hypergraph::biadjacency<0>(el), nw::hypergraph::biadjacency<1>(el), {}};
+    out.degrees = out.edges.degrees();
+    return out;
+  }();
+  return in;
+}
+
+void BM_OverlapCount(benchmark::State& state) {
+  const auto&              in = friendster_rows();
+  const std::size_t        s  = static_cast<std::size_t>(state.range(0));
+  const std::size_t*       d  = in.degrees.data();
+  nw::sparse_accumulator<> overlap(in.edges.size());
+  std::size_t              probes = 0, pairs = 0;
+  for (auto _ : state) {
+    probes = pairs = 0;
+    for (vertex_id_t ei = 0; ei < in.edges.size(); ++ei) {
+      if (d[ei] < s) continue;
+      probes += nw::hypergraph::detail::count_overlaps(
+          in.edges[ei], in.nodes, [d, s](vertex_id_t ej) { return d[ej] >= s; }, overlap, ei);
+      pairs += overlap.for_each_at_least(s, [](vertex_id_t ej, std::uint32_t) {
+        benchmark::DoNotOptimize(ej);
+      });
+    }
+    benchmark::DoNotOptimize(probes);
+    benchmark::DoNotOptimize(pairs);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * probes));
+}
+
 // --- frontier engine kernels ------------------------------------------------
 //
 // The sparse<->dense conversions and the scout (degree-sum) pass behind
@@ -262,6 +311,7 @@ void BM_FrontierScoutCount(benchmark::State& state) {
 
 BENCHMARK(BM_IntersectionFull)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK(BM_IntersectionEarlyExit)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_OverlapCount)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelSort)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StdSort)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MergeThreadVectors)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);

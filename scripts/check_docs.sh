@@ -44,8 +44,9 @@
 #   7. one overlap count (full run only).  No file under src/nwhy/ may call
 #      `.increment(` (the nw::sparse_accumulator update) outside the body of
 #      detail::count_overlaps in src/nwhy/slinegraph/construction.hpp, the
-#      one kernel every hyperedge-overlap count goes through.  Comment-only
-#      lines are skipped.
+#      one kernel every hyperedge-overlap count goes through (with an
+#      optional upper-triangle bound that scans only each incidence row's
+#      tail).  Comment-only lines are skipped.
 #   8. one union-find (full run only).  `find_root`, `link_roots` and
 #      `compress_all` are defined only in
 #      src/nwgraph/algorithms/connected_components.hpp, and no other file
@@ -153,7 +154,7 @@ increment_lint() {
   ' $files)
   [[ -z "$hits" ]] && return 0
   while IFS= read -r line; do
-    echo "check_docs.sh: overlap counted outside detail::count_overlaps (src/nwhy/slinegraph/construction.hpp): $line" >&2
+    echo "check_docs.sh: overlap counted outside the one bounded overlap kernel, detail::count_overlaps(row, nodes, keep, overlap, above) in src/nwhy/slinegraph/construction.hpp (pass a tail bound instead of filtering ids <= e_i by hand): $line" >&2
   done <<<"$hits"
   return 1
 }

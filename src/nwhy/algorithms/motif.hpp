@@ -8,8 +8,8 @@
 // hypernodes contributes c wedges — one per center.  The census therefore
 // follows from the pair overlaps alone, which the s-line construction
 // kernel (detail::count_overlaps) counts: each hyperedge e counts its
-// overlaps with every larger-id f through the transpose, and each pair
-// with overlap c >= 1 adds
+// overlaps with every larger-id f through the transpose, scanning only the
+// tail of each incidence row past e, and each pair with overlap c >= 1 adds
 //
 //   wedges        c — one per center; the total is Σ_v C(d(v), 2)
 //   triads        c when c >= 2: every wedge of a pair sharing >= 2
@@ -67,7 +67,7 @@ motif_census count_motifs(const EGraph& hyperedges, const NGraph& hypernodes) {
     const auto        ei      = static_cast<vertex_id_t>(i);
     auto&             overlap = maps.local(tid);
     [[maybe_unused]] const std::size_t probes = detail::count_overlaps(
-        hyperedges[ei], hypernodes, [ei](vertex_id_t ej) { return ej > ei; }, overlap);
+        hyperedges[ei], hypernodes, [](vertex_id_t) { return true; }, overlap, ei);
     auto& local = partial.local(tid);
     overlap.for_each([&](vertex_id_t, std::uint32_t n) {
       const std::uint64_t c = n;

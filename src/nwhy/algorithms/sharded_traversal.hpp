@@ -16,9 +16,11 @@
 // are deterministic for a fixed shard count (serial shard order, first
 // claim wins).
 //
-// HyperCC loads each shard once and links every incidence (e, v) of its
-// E2N rows into one union-find forest over the n0 + n1 shared ids (the
-// Afforest forest of nwgraph/algorithms/connected_components.hpp).  The
+// HyperCC loads each shard once, its E2N half only (shard_halves::e2n: the
+// N2E sub-index and slice are neither read nor checked), and links every
+// incidence (e, v) of its E2N rows into one union-find forest over the
+// n0 + n1 shared ids (the Afforest forest of
+// nwgraph/algorithms/connected_components.hpp).  The
 // forest roots every component at its minimum id, so after compression
 // the labels equal hyper_cc's exactly.
 //
@@ -138,7 +140,7 @@ inline hyper_cc_result hyper_cc_sharded(sharded_snapshot& snap) {
   std::vector<vertex_id_t> comp(n0 + n1);
   std::iota(comp.begin(), comp.end(), vertex_id_t{0});
   for (std::size_t k = 0; k < snap.num_shards(); ++k) {
-    auto view = snap.load_shard(k);
+    auto view = snap.load_shard(k, shard_halves::e2n);
     NWOBS_COUNT("shard.passes", 1);
     par::parallel_for(view.e_begin, view.e_end, [&](std::size_t e) {
       for (vertex_id_t v : view.edge_row(static_cast<vertex_id_t>(e))) {

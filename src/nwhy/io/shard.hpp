@@ -59,12 +59,18 @@ struct shard_view {
     return e2n_targets.subspan(static_cast<std::size_t>(e2n_index[i] - base),
                                static_cast<std::size_t>(e2n_index[i + 1] - e2n_index[i]));
   }
-  /// Hypernode `v`'s incident edges that fall inside this shard's range.
+  /// Hypernode `v`'s incident edges that fall inside this shard's range
+  /// (a shard loaded with shard_halves::both).
   [[nodiscard]] std::span<const nw::vertex_id_t> node_row(nw::vertex_id_t v) const {
+    NW_DEBUG_ASSERT(!sub_index.empty(), "node_row: the shard was loaded without its N2E half");
     return n2e_targets.subspan(static_cast<std::size_t>(sub_index[v]),
                                static_cast<std::size_t>(sub_index[v + 1] - sub_index[v]));
   }
 };
+
+/// What load_shard materializes: the E2N slice alone (edge_row), or that
+/// plus the N2E sub-index and slice (node_row too).
+enum class shard_halves { e2n, both };
 
 /// Shard-granular snapshot reader.  Open cost: header + table + directory
 /// validation and one structural pass over the two resident index sections;
@@ -140,22 +146,46 @@ public:
   }
 
   /// Materialize shard `k`, releasing any previously loaded shard first.
-  /// Content validation (SVB geometry, sub-index structure, target ranges)
-  /// happens here; throws io_error on crafted input.
-  [[nodiscard]] shard_view load_shard(std::size_t k) {
+  /// `halves` = e2n skips the N2E sub-index and slice: nothing of them is
+  /// read, decoded, checked or counted in `shard.bytes_loaded`.  Content
+  /// validation (SVB geometry, sub-index structure, target ranges) of what
+  /// is loaded happens here; throws io_error on crafted input.
+  [[nodiscard]] shard_view load_shard(std::size_t k, shard_halves halves = shard_halves::both) {
     namespace d = csr_detail;
     NW_ASSERT(k < dir_.size(), "shard index out of range");
     release_shard();
     const auto& s   = dir_[k];
     const bool  svb = (s.flags & d::shard_flag_svb) != 0;
+    const bool  both = halves == shard_halves::both;
+    loaded_halves_   = halves;
     advise_window(s, /*loading=*/true);
-    NWOBS_COUNT("shard.bytes_loaded", s.e2n_len + s.sub_len + s.n2e_len);
+    NWOBS_COUNT("shard.bytes_loaded", s.e2n_len + (both ? s.sub_len + s.n2e_len : 0));
 
     shard_view v;
     v.e_begin   = static_cast<nw::vertex_id_t>(s.e_begin);
     v.e_end     = static_cast<nw::vertex_id_t>(s.e_end);
     v.e2n_index = e2n_idx_.subspan(static_cast<std::size_t>(s.e_begin),
                                    static_cast<std::size_t>(s.e_end - s.e_begin) + 1);
+    if (svb) {
+      e2n_scratch_.resize(static_cast<std::size_t>(s.count));
+      d::decode_shard_slice(load_payload(s.e2n_off, s.e2n_len, e2n_byte_store_),
+                            payload_offset_ + s.e2n_off, true, s.count, e2n_scratch_.data(),
+                            origin_);
+      v.e2n_targets = e2n_scratch_;
+    } else {
+      v.e2n_targets = span_cast<nw::vertex_id_t>(load_payload(s.e2n_off, s.e2n_len,
+                                                              e2n_byte_store_));
+    }
+    for (auto t : v.e2n_targets) {
+      if (t >= n1_) {
+        throw payload_error("shard " + std::to_string(k) +
+                            " E2N slice holds out-of-range hypernode ids");
+      }
+    }
+    if (!both) {
+      loaded_ = static_cast<std::ptrdiff_t>(k);
+      return v;
+    }
 
     auto sub_bytes = load_payload(s.sub_off, s.sub_len, sub_store_);
     v.sub_index    = span_cast<nw::offset_t>(sub_bytes);
@@ -171,27 +201,14 @@ public:
     }
 
     if (svb) {
-      e2n_scratch_.resize(static_cast<std::size_t>(s.count));
       n2e_scratch_.resize(static_cast<std::size_t>(s.count));
-      auto e2n_bytes = load_payload(s.e2n_off, s.e2n_len, e2n_byte_store_);
-      auto n2e_bytes = load_payload(s.n2e_off, s.n2e_len, n2e_byte_store_);
-      d::decode_shard_slice(e2n_bytes, payload_offset_ + s.e2n_off, true, s.count,
-                            e2n_scratch_.data(), origin_);
-      d::decode_shard_slice(n2e_bytes, payload_offset_ + s.n2e_off, true, s.count,
-                            n2e_scratch_.data(), origin_);
-      v.e2n_targets = e2n_scratch_;
+      d::decode_shard_slice(load_payload(s.n2e_off, s.n2e_len, n2e_byte_store_),
+                            payload_offset_ + s.n2e_off, true, s.count, n2e_scratch_.data(),
+                            origin_);
       v.n2e_targets = n2e_scratch_;
     } else {
-      v.e2n_targets = span_cast<nw::vertex_id_t>(load_payload(s.e2n_off, s.e2n_len,
-                                                              e2n_byte_store_));
       v.n2e_targets = span_cast<nw::vertex_id_t>(load_payload(s.n2e_off, s.n2e_len,
                                                               n2e_byte_store_));
-    }
-    for (auto t : v.e2n_targets) {
-      if (t >= n1_) {
-        throw payload_error("shard " + std::to_string(k) +
-                            " E2N slice holds out-of-range hypernode ids");
-      }
     }
     for (auto t : v.n2e_targets) {
       if (t < s.e_begin || t >= s.e_end) {
@@ -311,8 +328,9 @@ private:
   }
 #endif
 
-  /// madvise the shard's contiguous payload window: SEQUENTIAL + WILLNEED
-  /// ahead of the pass, DONTNEED after it.  The release range is rounded
+  /// madvise the shard's contiguous payload window (its E2N segment alone
+  /// when only that half is loaded): SEQUENTIAL + WILLNEED ahead of the
+  /// pass, DONTNEED after it.  The release range is rounded
   /// out to 2 MiB boundaries (clamped to the payload section): sequential
   /// faults map large page-cache folios that spill past the page-rounded
   /// window, and a folio only partially covered by the zap survives it —
@@ -322,10 +340,13 @@ private:
   void advise_window(const csr_detail::shard_entry& s, bool loading) {
 #if NWHY_HAS_MMAP
     if (!madvise_enabled_) return;
-    const std::uint64_t begin = payload_offset_ + std::min({s.e2n_off, s.sub_off, s.n2e_off});
-    const std::uint64_t end   = payload_offset_ + std::max({s.e2n_off + s.e2n_len,
-                                                            s.sub_off + s.sub_len,
-                                                            s.n2e_off + s.n2e_len});
+    const bool          both  = loaded_halves_ == shard_halves::both;
+    const std::uint64_t begin =
+        payload_offset_ + (both ? std::min({s.e2n_off, s.sub_off, s.n2e_off}) : s.e2n_off);
+    const std::uint64_t end =
+        payload_offset_ + (both ? std::max({s.e2n_off + s.e2n_len, s.sub_off + s.sub_len,
+                                            s.n2e_off + s.n2e_len})
+                                : s.e2n_off + s.e2n_len);
     const std::uint64_t page  = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
     std::uint64_t       lo    = begin / page * page;
     std::uint64_t       hi    = std::min(file_size_, (end + page - 1) / page * page);
@@ -362,6 +383,7 @@ private:
   std::vector<unsigned char> e2n_byte_store_, n2e_byte_store_, sub_store_;
   std::vector<nw::vertex_id_t> e2n_scratch_, n2e_scratch_;
   std::ptrdiff_t               loaded_          = -1;
+  shard_halves                 loaded_halves_   = shard_halves::both;
   bool                         madvise_enabled_ = true;
 };
 

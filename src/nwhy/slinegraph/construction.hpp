@@ -33,16 +33,18 @@
 // All functions return an edge list containing each line-graph edge once,
 // as {min(e_i, e_j), max(e_i, e_j)} pairs in whatever id space the inputs
 // use.  Neighbor lists must be sorted ascending (the intersection variants
-// rely on it); biadjacency built from a sort_and_unique'd biedgelist
-// satisfies this.
+// and the hashmap algorithms' upper-triangle row tails rely on it);
+// biadjacency built from a sort_and_unique'd biedgelist satisfies this.
 //
 // One overlap count: every hashmap algorithm here (hashmap, its CSR and
 // cyclic spellings, Algorithm 1, the ensemble, the neighbor-range variant),
 // the weighted build, the implicit s-rows, the incremental recount and the
 // motif census count |e_i ∩ e_j| with detail::count_overlaps into a dense
 // per-thread nw::sparse_accumulator (a count array over the hyperedge ids
-// plus the list of ids the row touched); the parallel ones run it through
-// detail::overlap_pass, which emits each pair with overlap >= s to a
+// plus the list of ids the row touched, both updated without a
+// data-dependent branch); the parallel ones run it through
+// detail::overlap_pass, which scans only the upper-triangle tail of each
+// incidence row and emits each pair with overlap >= s to a
 // caller-supplied functor.  The "hashmap" in the algorithm names is the
 // paper's; the map is that dense accumulator.
 //
@@ -60,8 +62,10 @@
 // pages every call.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -268,14 +272,29 @@ namespace detail {
 /// maps ej to |row ∩ ej|.  Returns the number of increments (the hashmap
 /// probes).  The only code that increments an overlap accumulator; its
 /// key space must cover every id `nodes` holds (overlap_accumulators).
+/// With a bound `above`, only the tail (above, ...] of each incidence row
+/// is scanned, for callers whose keep rejects every ej <= above (the upper
+/// triangle j > i of Liu et al.); keep still applies any other test.  The
+/// bound needs `nodes`' rows sorted ascending, as every biadjacency,
+/// relabeled storage and composed generation keeps them.
 template <class Row, class NGraph, class Keep>
 std::size_t count_overlaps(Row&& row, const NGraph& nodes, Keep keep,
-                           sparse_accumulator<>& overlap) {
+                           sparse_accumulator<>& overlap,
+                           std::optional<vertex_id_t> above = std::nullopt) {
   overlap.clear();
   std::size_t probes = 0;
   for (auto&& ev : row) {
-    for (auto&& ve : nodes[target(ev)]) {
-      const vertex_id_t ej = target(ve);
+    auto&& incident = nodes[target(ev)];
+    auto   first    = std::ranges::begin(incident);
+    auto   last     = std::ranges::end(incident);
+    if (above) {
+      const auto by_id = [](auto&& ve) { return target(ve); };
+      NW_DEBUG_ASSERT(std::ranges::is_sorted(first, last, {}, by_id),
+                      "count_overlaps: a bounded count needs sorted incidence rows");
+      first = std::ranges::upper_bound(first, last, *above, {}, by_id);
+    }
+    for (; first != last; ++first) {
+      const vertex_id_t ej = target(*first);
       if (keep(ej)) {
         overlap.increment(ej);
         ++probes;
@@ -310,15 +329,10 @@ void overlap_pass(const EGraph& edges, const NGraph& nodes, const std::vector<st
         if (deg[ei] < s) return;
         auto&             overlap = maps.local(tid);
         [[maybe_unused]] const std::size_t probes = count_overlaps(
-            edges[ei], nodes,
-            [ei, d = deg.data(), s](vertex_id_t ej) { return ej > ei && d[ej] >= s; }, overlap);
-        std::size_t emitted = 0;
-        overlap.for_each([&](vertex_id_t ej, std::uint32_t c) {
-          if (c >= s) {
-            emit(tid, ei, ej, c);
-            ++emitted;
-          }
-        });
+            edges[ei], nodes, [d = deg.data(), s](vertex_id_t ej) { return d[ej] >= s; },
+            overlap, ei);
+        [[maybe_unused]] const std::size_t emitted = overlap.for_each_at_least(
+            s, [&](vertex_id_t ej, std::uint32_t c) { emit(tid, ei, ej, c); });
         NWOBS_COUNT("slinegraph.hashmap_probes", probes);
         NWOBS_COUNT("slinegraph.candidate_pairs", overlap.size());
         NWOBS_COUNT("slinegraph.pairs_emitted", emitted);
@@ -516,10 +530,9 @@ nw::graph::edge_list<> to_two_graph_neighbor_range(const EGraph& edges, const NG
         auto& overlap = maps.local(tid);
         detail::count_overlaps(
             neighborhood, nodes,
-            [ei, d = edge_degrees.data(), s](vertex_id_t ej) { return ej > ei && d[ej] >= s; },
-            overlap);
-        overlap.for_each([&](vertex_id_t ej, std::uint32_t c) {
-          if (c >= s) out.local(tid).push_back({ei, ej});
+            [d = edge_degrees.data(), s](vertex_id_t ej) { return d[ej] >= s; }, overlap, ei);
+        overlap.for_each_at_least(s, [&](vertex_id_t ej, std::uint32_t) {
+          out.local(tid).push_back({ei, ej});
         });
       });
   return detail::materialize_edge_list(out, ne);

@@ -44,9 +44,7 @@ void for_each_s_neighbor(const EGraph& edges, const NGraph& nodes,
       edges[ei], nodes,
       [ei, d = edge_degrees.data(), s](vertex_id_t ej) { return ej != ei && d[ej] >= s; },
       overlap);
-  overlap.for_each([&](vertex_id_t ej, std::uint32_t c) {
-    if (c >= s) fn(ej);
-  });
+  overlap.for_each_at_least(s, [&](vertex_id_t ej, std::uint32_t) { fn(ej); });
 }
 
 /// Scratch of the implicit s-BFS: per-thread overlap accumulators over the

@@ -156,9 +156,7 @@ public:
           inc_.edges()[e], inc_.nodes(),
           [this, e](vertex_id_t f) { return f != e && active(f); }, overlap_);
       std::vector<vertex_id_t> nbrs;
-      overlap_.for_each([&](vertex_id_t f, std::uint32_t n) {
-        if (n >= s_) nbrs.push_back(f);
-      });
+      overlap_.for_each_at_least(s_, [&](vertex_id_t f, std::uint32_t) { nbrs.push_back(f); });
       std::sort(nbrs.begin(), nbrs.end());
       for (vertex_id_t f : nbrs) {
         auto& fn = adj_[f];

@@ -9,7 +9,8 @@
 //     "env":      { "NWHY_NUM_THREADS": "8" | null, ... },
 //     "threads":  <default pool concurrency>,
 //     "hardware_concurrency": <std::thread::hardware_concurrency()>,
-//     "build":    {"type": "Release" | ... | "unspecified", "assertions": "on" | "off"},
+//     "build":    {"type": "Release" | ... | "unspecified", "assertions": "on" | "off",
+//                  "revision": "<git commit at configure time>" | "unknown"},
 //     "context":  { "simd_decode": "ssse3", ... }   // registry::set_context
 //   }
 //
@@ -83,6 +84,12 @@ inline constexpr const char* build_type = NWHY_BUILD_TYPE;
 #else
 inline constexpr const char* build_type = "unspecified";
 #endif
+/// The commit the root CMakeLists.txt was configured at.
+#if defined(NWHY_GIT_REVISION)
+inline constexpr const char* git_revision = NWHY_GIT_REVISION;
+#else
+inline constexpr const char* git_revision = "unknown";
+#endif
 #ifdef NDEBUG
 inline constexpr const char* assertions = "off";
 #else
@@ -141,6 +148,8 @@ inline std::string profile_json() {
       .append(json_escape(detail::build_type))
       .append("\", \"assertions\": \"")
       .append(detail::assertions)
+      .append("\", \"revision\": \"")
+      .append(json_escape(detail::git_revision))
       .append("\"},\n");
   out += "  \"context\": {";
   first = true;

@@ -8,9 +8,19 @@
 // An increment is one indexed add; clear() resets only the touched slots
 // and for_each() walks only the touched list, so a row costs what it
 // touches, never the size of the key space.
+//
+// Count mode has no data-dependent branch: about half of an overlap
+// count's increments are first touches, and which ones is unpredictable.
+// So an increment always writes its key into the touched slot past the
+// end and advances the end by (old value == 0), and for_each_at_least
+// compacts the keys that pass its threshold the same way before it visits
+// them.  The touched and kept arrays are uninitialised, so a thread's
+// accumulator commits memory only for the slots its rows actually use.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -31,20 +41,26 @@ public:
   explicit sparse_accumulator(std::size_t num_keys) { ensure_keys(num_keys); }
 
   /// Make keys [0, n) valid.  Grows only, so one instance serves rows of
-  /// several structures; new slots start empty.
+  /// several structures; new slots start empty and the current row stays.
   void ensure_keys(std::size_t n) {
     if (values_.size() >= n) return;
     values_.resize(n, Value{});
     if constexpr (Structural) seen_.resize(n, 0);
+    // One spare slot: a count-mode increment stores its key before it
+    // knows whether the key is new.
+    auto touched = std::make_unique_for_overwrite<vertex_id_t[]>(n + 1);
+    std::copy_n(touched_.get(), size_, touched.get());
+    touched_ = std::move(touched);
+    if constexpr (!Structural) kept_ = std::make_unique_for_overwrite<vertex_id_t[]>(n);
   }
 
   /// Forget the current row: resets only the slots it touched.
   void clear() {
-    for (vertex_id_t k : touched_) {
-      values_[k] = Value{};
-      if constexpr (Structural) seen_[k] = 0;
+    for (std::size_t i = 0; i < size_; ++i) {
+      values_[touched_[i]] = Value{};
+      if constexpr (Structural) seen_[touched_[i]] = 0;
     }
-    touched_.clear();
+    size_ = 0;
   }
 
   /// Add `delta` to `key`'s value, entering the key on first touch.
@@ -52,34 +68,56 @@ public:
     NW_DEBUG_ASSERT(key < values_.size(), "sparse_accumulator: key outside ensure_keys range");
     if constexpr (Structural) {
       if (!seen_[key]) {  // the first delta is stored, not added to 0 (keeps -0.0)
-        seen_[key] = 1;
-        touched_.push_back(key);
-        values_[key] = delta;
+        seen_[key]        = 1;
+        touched_[size_++] = key;
+        values_[key]      = delta;
         return;
       }
+      values_[key] += delta;
     } else {
       NW_DEBUG_ASSERT(delta != Value{}, "sparse_accumulator: a count delta must be nonzero");
-      if (values_[key] == Value{}) touched_.push_back(key);
+      const Value old = values_[key];
+      touched_[size_] = key;  // kept only when the key is new
+      size_ += static_cast<std::size_t>(old == Value{});
+      values_[key] = old + delta;
     }
-    values_[key] += delta;
   }
 
   /// Value stored for `key` in the current row, Value{} if untouched.
   [[nodiscard]] Value get(vertex_id_t key) const { return values_[key]; }
 
   /// Number of distinct keys the current row touched.
-  [[nodiscard]] std::size_t size() const { return touched_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Visit every touched (key, value) pair in first-touch order; `fn(key, value)`.
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (vertex_id_t k : touched_) fn(k, values_[k]);
+    for (std::size_t i = 0; i < size_; ++i) fn(touched_[i], values_[touched_[i]]);
+  }
+
+  /// Visit the touched pairs with value >= `t`, in first-touch order;
+  /// `fn(key, value)`.  Returns how many were visited.  The keys are
+  /// compacted first without a branch, so the visit loop runs only over
+  /// the survivors.
+  template <class Fn>
+  std::size_t for_each_at_least(std::size_t t, Fn&& fn) {
+    static_assert(!Structural, "for_each_at_least thresholds counts");
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < size_; ++i) {
+      const vertex_id_t k = touched_[i];
+      kept_[n]            = k;
+      n += static_cast<std::size_t>(values_[k] >= t);
+    }
+    for (std::size_t i = 0; i < n; ++i) fn(kept_[i], values_[kept_[i]]);
+    return n;
   }
 
 private:
-  std::vector<Value>        values_;
-  std::vector<std::uint8_t> seen_;  // Structural only
-  std::vector<vertex_id_t>  touched_;
+  std::vector<Value>             values_;
+  std::vector<std::uint8_t>      seen_;     // Structural only
+  std::unique_ptr<vertex_id_t[]> touched_;  // [0, size_) in first-touch order, + 1 spare
+  std::unique_ptr<vertex_id_t[]> kept_;     // for_each_at_least's survivors (count mode)
+  std::size_t                    size_ = 0;
 };
 
 }  // namespace nw

@@ -404,6 +404,86 @@ TEST(CsrFromBuffers, SLineGraphBytesIdenticalAcrossThreadsAndRelabel) {
   }
 }
 
+// --- the bounded overlap count ----------------------------------------------
+
+namespace {
+
+/// One row's overlap count: the probes and the touched (id, count) pairs
+/// in first-touch order.
+struct row_count {
+  std::size_t                                        probes = 0;
+  std::vector<std::pair<vertex_id_t, std::uint32_t>> touched;
+  friend bool operator==(const row_count&, const row_count&) = default;
+};
+
+/// Every hyperedge row e of `adj` (an adjoin view passed as both structures,
+/// so its node rows are the generation's N2E rows) counted with keep
+/// (f > e, degree >= s) as a predicate alone, or with the tail bound e and
+/// keep (degree >= s).  Rows run in parallel on per-thread accumulators.
+std::vector<row_count> count_rows(const adjoin_graph& adj, std::size_t s, bool bounded) {
+  const std::size_t        ne = adj.nrealedges();
+  std::vector<std::size_t> deg(ne);
+  for (std::size_t e = 0; e < ne; ++e) deg[e] = adj.degree(e);
+  auto                   maps = detail::overlap_accumulators(ne);
+  std::vector<row_count> out(ne);
+  nw::par::parallel_for(0, ne, [&](unsigned tid, std::size_t i) {
+    const auto ei      = static_cast<vertex_id_t>(i);
+    auto&      overlap = maps.local(tid);
+    const auto d       = deg.data();
+    out[i].probes =
+        bounded ? detail::count_overlaps(
+                      adj[ei], adj, [d, s](vertex_id_t f) { return d[f] >= s; }, overlap, ei)
+                : detail::count_overlaps(
+                      adj[ei], adj, [ei, d, s](vertex_id_t f) { return f > ei && d[f] >= s; },
+                      overlap);
+    overlap.for_each([&](vertex_id_t f, std::uint32_t c) { out[i].touched.push_back({f, c}); });
+  });
+  return out;
+}
+
+}  // namespace
+
+TEST(CountOverlaps, TailBoundMatchesPredicateOnlyOnEveryGeneration) {
+  // Random sorted rows with hubs, on the three generations a count reads:
+  // the plain base, degree-relabeled storage and the composed base+delta
+  // generation of a pending mutation.  The bounded count must probe the
+  // same ids in the same first-touch order, at every thread count; the
+  // motif census (bounded since it needs only f > e) must match the oracle.
+  nwtest::concurrency_guard guard;
+  auto el = gen::powerlaw_hypergraph(600, 900, 48, 1.2, 0.8, 0xB0DE);
+  for (vertex_id_t e = 0; e < 600; e += 4) el.push_back(e, 0);
+  el.sort_and_unique();
+  for (int flavour = 0; flavour < 3; ++flavour) {
+    NWHypergraph h(el);
+    if (flavour == 1) h.relabel_by_degree();
+    if (flavour == 2) {
+      h.update_edge(7, {0, 1, 2, 3, 500});
+      h.insert_edges({{600, {0, 2, 899}}, {601, {1, 2, 3}}});
+      h.remove_edges(std::vector<vertex_id_t>{12});
+    }
+    ASSERT_EQ(h.has_pending_delta(), flavour == 2);
+    NWHypergraph compacted = h;
+    compacted.compact();
+    const auto census_want = ref::motif_counts(ref::from_biedgelist(compacted.edge_list()));
+    for (unsigned threads : nwtest::differential_thread_counts()) {
+      nw::par::thread_pool::set_default_concurrency(threads);
+      const adjoin_graph adj = h.adjoin();
+      for (std::size_t s : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+        const auto want = count_rows(adj, s, false);
+        const auto got  = count_rows(adj, s, true);
+        std::size_t probes = 0;
+        for (const auto& r : want) probes += r.probes;
+        EXPECT_GT(probes, 0u) << "flavour=" << flavour << " s=" << s;
+        ASSERT_TRUE(got == want) << "flavour=" << flavour << " threads=" << threads << " s=" << s;
+      }
+      const auto census = h.motifs();
+      EXPECT_EQ(census.wedges, census_want.wedges) << "flavour=" << flavour;
+      EXPECT_EQ(census.triads, census_want.triads) << "flavour=" << flavour;
+      EXPECT_EQ(census.butterflies, census_want.butterflies) << "flavour=" << flavour;
+    }
+  }
+}
+
 // --- construction algorithms through the bulk path --------------------------
 
 namespace {

@@ -529,6 +529,12 @@ TEST_F(NwobsTest, ProfileRecordsWhatShapedTheMeasurement) {
 #else
   EXPECT_EQ(build.members.at("assertions").str, "on");
 #endif
+  // The configure-time commit: a full hex object id, or "unknown".
+  const std::string rev = build.members.at("revision").str;
+  EXPECT_EQ(rev, std::string(nw::obs::detail::git_revision));
+  EXPECT_TRUE(rev == "unknown" ||
+              (rev.size() >= 40 && rev.find_first_not_of("0123456789abcdef") == std::string::npos))
+      << rev;
 
   // The nwhy side registers the SIMD decode path; reset() keeps it.
   registry::get().reset();

@@ -277,6 +277,86 @@ TEST(SparseAccumulator, MatchesUnorderedMapOnRandomWorkload) {
   EXPECT_EQ(acc.size(), ref.size());
 }
 
+TEST(SparseAccumulator, BranchFreeIncrementKeepsFirstTouchOrder) {
+  // Repeat keys, key 0 and the last key interleaved: the touched list is
+  // the order of first appearance, whatever the later increments write
+  // into the spare slot past its end.
+  constexpr std::size_t                          n = 300;
+  sparse_accumulator<>                           acc(n);
+  xoshiro256ss                                   rng(0xF1257);
+  std::vector<vertex_id_t>                       first_seen;
+  std::unordered_map<vertex_id_t, std::uint32_t> ref;
+  for (int i = 0; i < 5000; ++i) {
+    const auto k = static_cast<vertex_id_t>(i % 17 == 0 ? 0 : i % 19 == 0 ? n - 1 : rng.bounded(n));
+    const auto d = static_cast<std::uint32_t>(1 + rng.bounded(3));
+    if (ref[k] == 0) first_seen.push_back(k);
+    ref[k] += d;
+    acc.increment(k, d);
+  }
+  std::vector<vertex_id_t> order;
+  acc.for_each([&](vertex_id_t k, std::uint32_t c) {
+    order.push_back(k);
+    EXPECT_EQ(c, ref[k]) << k;
+  });
+  EXPECT_EQ(order, first_seen);
+  EXPECT_EQ(acc.size(), first_seen.size());
+}
+
+TEST(SparseAccumulator, ForEachAtLeastVisitsExactlyTheKeysAtThreshold) {
+  sparse_accumulator<>          acc(1000);
+  xoshiro256ss                  rng(0x7E5);
+  std::vector<vertex_id_t>      first_seen;
+  std::vector<std::uint32_t>    count(1000, 0);
+  for (int i = 0; i < 4000; ++i) {
+    const auto k = static_cast<vertex_id_t>(rng.bounded(1000));
+    if (count[k]++ == 0) first_seen.push_back(k);
+    acc.increment(k);
+  }
+  for (std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{7},
+                        std::size_t{1} << 40}) {
+    std::vector<std::pair<vertex_id_t, std::uint32_t>> want, got;
+    for (vertex_id_t k : first_seen) {
+      if (count[k] >= t) want.push_back({k, count[k]});
+    }
+    const std::size_t visited =
+        acc.for_each_at_least(t, [&](vertex_id_t k, std::uint32_t c) { got.push_back({k, c}); });
+    EXPECT_EQ(got, want) << "t=" << t;
+    EXPECT_EQ(visited, want.size()) << "t=" << t;
+  }
+  // The walk leaves the row as it was: every touched key is still there.
+  EXPECT_EQ(acc.size(), first_seen.size());
+  std::size_t all = 0;
+  acc.for_each([&](vertex_id_t, std::uint32_t) { ++all; });
+  EXPECT_EQ(all, first_seen.size());
+  acc.clear();
+  EXPECT_EQ(acc.for_each_at_least(1, [](vertex_id_t, std::uint32_t) { FAIL(); }), 0u);
+}
+
+TEST(SparseAccumulator, RowTouchingEveryKeyClearsToZeroAndIsReusable) {
+  // Every key touched, then touched again while the touched list is full
+  // (the branch-free increment stores into the one spare slot).
+  constexpr std::size_t n = 777;
+  sparse_accumulator<>  acc(n);
+  for (int round = 0; round < 3; ++round) {
+    for (vertex_id_t k = 0; k < n; ++k) acc.increment(static_cast<vertex_id_t>(n - 1 - k));
+    for (vertex_id_t k = 0; k < n; k += 3) acc.increment(k, 2);
+    ASSERT_EQ(acc.size(), n);
+    EXPECT_EQ(acc.get(0), 3u);
+    EXPECT_EQ(acc.get(1), 1u);
+    EXPECT_EQ(acc.for_each_at_least(3, [](vertex_id_t k, std::uint32_t) { EXPECT_EQ(k % 3, 0u); }),
+              (n + 2) / 3);
+    acc.clear();
+    EXPECT_EQ(acc.size(), 0u);
+    for (vertex_id_t k = 0; k < n; ++k) ASSERT_EQ(acc.get(k), 0u) << "round " << round;
+  }
+  acc.increment(5);
+  acc.increment(5);
+  acc.increment(400);
+  std::vector<vertex_id_t> seen;
+  EXPECT_EQ(acc.for_each_at_least(2, [&](vertex_id_t k, std::uint32_t) { seen.push_back(k); }), 1u);
+  EXPECT_EQ(seen, std::vector<vertex_id_t>{5});
+}
+
 TEST(SparseAccumulator, StructuralKeepsZeroSums) {
   // SpGEMM's accumulator: a sum that cancels is still an entry.
   sparse_accumulator<double, true> acc(8);

@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 #if defined(__unix__) || defined(__APPLE__)
@@ -46,10 +49,10 @@ struct scratch_file {
   }
 };
 
-/// The process-wide shard.passes counter (shard loads so far).
-std::uint64_t shard_passes() {
+/// A process-wide nwobs counter's value so far (0 before its first count).
+std::uint64_t counter_value(const std::string& name) {
   const auto counters = nw::obs::registry::get().counters_snapshot();
-  const auto it       = counters.find("shard.passes");
+  const auto it       = counters.find(name);
   return it == counters.end() ? 0 : it->second;
 }
 
@@ -219,16 +222,64 @@ TEST(Shard, CcMatchesInMemoryEngine) {
       so.compress = (seed & 1) != 0;
       hg.save_csr_snapshot(f.path, so);
       sharded_snapshot snap(f.path);
-      const auto       passes = shard_passes();
+      const auto       passes = counter_value("shard.passes");
       auto             ooc    = hyper_cc_sharded(snap);
       ASSERT_EQ(mem.labels_edge, ooc.labels_edge);
       ASSERT_EQ(mem.labels_node, ooc.labels_node);
       // One load per shard, however many sweeps label propagation would need.
-      EXPECT_EQ(shard_passes() - passes, snap.num_shards());
+      EXPECT_EQ(counter_value("shard.passes") - passes, snap.num_shards());
       most_shards = std::max(most_shards, snap.num_shards());
     }
   }
   EXPECT_GT(most_shards, 1u);
+}
+
+TEST(Shard, CcLoadsOnlyTheE2nHalfAndBfsStillChecksN2e) {
+  // HyperCC reads only edge rows, so it loads each shard's E2N half alone:
+  // shard.bytes_loaded counts just those slices, and a crafted N2E slice
+  // (an edge id outside its shard's range) cannot stop it.  The BFS loads
+  // both halves and must still reject that slice.
+  NWHypergraph hg(gen::uniform_random_hypergraph(90, 60, 5, 0x52C0));
+  const auto   mem = hg.connected_components();
+  scratch_file f("halves");
+  csr_shard_options so;
+  so.shards = 3;
+  hg.save_csr_snapshot(f.path, so);
+  std::uint64_t           e2n_bytes = 0;
+  csr_detail::shard_entry first;
+  {
+    sharded_snapshot snap(f.path);
+    ASSERT_EQ(snap.num_shards(), 3u);
+    for (std::size_t k = 0; k < snap.num_shards(); ++k) e2n_bytes += snap.shard(k).e2n_len;
+    first = snap.shard(0);
+    ASSERT_GT(first.n2e_len, 0u);
+    const auto bytes_before = counter_value("shard.bytes_loaded");
+    auto       ooc          = hyper_cc_sharded(snap);
+    EXPECT_EQ(ooc.labels_edge, mem.labels_edge);
+    EXPECT_EQ(counter_value("shard.bytes_loaded") - bytes_before, e2n_bytes);
+  }
+  {
+    std::ifstream in(f.path, std::ios::binary);
+    std::string   bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const auto*   base = reinterpret_cast<const unsigned char*>(bytes.data());
+    const auto    payload =
+        csr_detail::parse_header(base, bytes.size(), f.path).find(csr_sec_shard_payload)->offset;
+    const std::uint32_t bad = 0xFFFFFFF0u;
+    std::memcpy(bytes.data() + payload + first.n2e_off, &bad, sizeof bad);
+    std::ofstream(f.path, std::ios::binary | std::ios::trunc) << bytes;
+  }
+  sharded_snapshot snap(f.path);
+  auto ooc = hyper_cc_sharded(snap);
+  EXPECT_EQ(ooc.labels_edge, mem.labels_edge);
+  EXPECT_EQ(ooc.labels_node, mem.labels_node);
+  EXPECT_NO_THROW((void)snap.load_shard(0, shard_halves::e2n));
+  try {
+    (void)snap.load_shard(0);
+    ADD_FAILURE() << "a crafted N2E slice was loaded";
+  } catch (const io_error& e) {
+    EXPECT_NE(std::string(e.what()).find("N2E slice"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)hyper_bfs_sharded(snap, 0), io_error);
 }
 
 TEST(Shard, RelabeledShardedPipelineAnswersMatch) {
